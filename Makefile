@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help check build vet test race chaos chaos-cluster chaos-net lint smoke-faults smoke-serve smoke-approx load load-smoke load-gate fuzz bench bench-json bench-gate cover figures figures-quick report examples clean
+.PHONY: all help check build vet test race chaos chaos-cluster chaos-net lint loc smoke-faults smoke-serve smoke-approx load load-smoke load-gate fuzz bench bench-json bench-gate cover figures figures-quick report examples clean
 
 all: build vet test race
 
@@ -37,6 +37,7 @@ help:
 	@echo "  chaos-net     network chaos under -race: partitions, one-way drops,"
 	@echo "                truncation, breakers, hedging, local degradation"
 	@echo "  lint          go vet + staticcheck (skipped gracefully if absent)"
+	@echo "  loc           non-test Go lines per package directory plus a total"
 	@echo "  smoke-faults  watchdogged 4x4 sweep with injected faults"
 	@echo "  smoke-serve   starsimd daemon round trip: submit, cache hit, drain"
 	@echo "  smoke-approx  surrogate round trip: exact anchor sweep, then an"
@@ -49,7 +50,7 @@ help:
 	@echo "                p95/p99/throughput regression (LOAD_GATE=1 wires"
 	@echo "                it into 'check')"
 	@echo "  fuzz          fuzz the FIFO ring buffer, the trace reader, the"
-	@echo "                latency sketch codec, the BENCH_serve reader, and"
+	@echo "                stats.Sketch codec, the BENCH_serve reader, and"
 	@echo "                the fleet wire protocol (FUZZTIME=30s to change)"
 	@echo "  bench         go test -bench over every figure benchmark"
 	@echo "  bench-json    engine benchmarks -> BENCH_sim.json"
@@ -183,13 +184,22 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzFIFO -fuzztime $(FUZZTIME) ./internal/queue
 	$(GO) test -fuzz FuzzTraceReader -fuzztime $(FUZZTIME) ./internal/obs
-	$(GO) test -fuzz FuzzSketchDecode -fuzztime $(FUZZTIME) ./internal/loadgen
+	$(GO) test -fuzz FuzzSketchDecode -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -fuzz FuzzTrajectoryReader -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -fuzz FuzzSurrogateTable -fuzztime $(FUZZTIME) ./internal/surrogate
 	$(GO) test -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/cluster
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines per package directory, sorted, plus a repo-wide total:
+# the size trajectory in one table. Hidden directories (build caches) are
+# skipped.
+loc:
+	@find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); if (!(d in n)) k[++m] = d; n[d] += $$1; t += $$1 } \
+	END { for (i = 2; i <= m; i++) for (j = i; j > 1 && k[j-1] > k[j]; j--) { s = k[j]; k[j] = k[j-1]; k[j-1] = s }; \
+	      for (i = 1; i <= m; i++) printf "%7d %s\n", n[k[i]], k[i]; printf "%7d total\n", t }'
 
 vet:
 	$(GO) vet ./...

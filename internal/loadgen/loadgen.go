@@ -21,6 +21,7 @@ import (
 
 	"prioritystar/internal/obs"
 	"prioritystar/internal/serve"
+	"prioritystar/internal/stats"
 )
 
 // Sketch keys in a Record's Ops map.
@@ -67,7 +68,7 @@ type Report struct {
 // recorder is one worker's private measurement state, merged after the run
 // so the hot path never shares memory between clients.
 type recorder struct {
-	sketches map[string]*Sketch
+	sketches map[string]*stats.Sketch
 	errs     map[string]int64
 	cached   int64 // responses flagged Cached
 	deduped  int64 // responses flagged Deduped
@@ -77,13 +78,13 @@ type recorder struct {
 }
 
 func newRecorder() *recorder {
-	return &recorder{sketches: map[string]*Sketch{}, errs: map[string]int64{}}
+	return &recorder{sketches: map[string]*stats.Sketch{}, errs: map[string]int64{}}
 }
 
 func (r *recorder) observe(key string, d time.Duration) {
 	s := r.sketches[key]
 	if s == nil {
-		s = &Sketch{}
+		s = &stats.Sketch{}
 		r.sketches[key] = s
 	}
 	s.AddDuration(d)
@@ -92,7 +93,7 @@ func (r *recorder) observe(key string, d time.Duration) {
 func (r *recorder) merge(o *recorder) {
 	for k, s := range o.sketches {
 		if r.sketches[k] == nil {
-			r.sketches[k] = &Sketch{}
+			r.sketches[k] = &stats.Sketch{}
 		}
 		r.sketches[k].Merge(s)
 	}

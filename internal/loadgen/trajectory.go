@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+
+	"prioritystar/internal/stats"
 )
 
 // TrajectorySchema is the accepted (and written) header schema.
@@ -44,14 +46,14 @@ func (e *FormatError) Unwrap() error { return e.Err }
 // The headline quantiles are denormalized for human diffing; Sketch holds
 // the full distribution so any quantile can be recomputed later.
 type OpRecord struct {
-	Count  int64   `json:"count"`
-	Errors int64   `json:"errors,omitempty"`
-	P50us  int64   `json:"p50_us"`
-	P95us  int64   `json:"p95_us"`
-	P99us  int64   `json:"p99_us"`
-	MaxUs  int64   `json:"max_us"`
-	MeanUs float64 `json:"mean_us"`
-	Sketch *Sketch `json:"sketch,omitempty"`
+	Count  int64         `json:"count"`
+	Errors int64         `json:"errors,omitempty"`
+	P50us  int64         `json:"p50_us"`
+	P95us  int64         `json:"p95_us"`
+	P99us  int64         `json:"p99_us"`
+	MaxUs  int64         `json:"max_us"`
+	MeanUs float64       `json:"mean_us"`
+	Sketch *stats.Sketch `json:"sketch,omitempty"`
 }
 
 // Record is one load-harness run.

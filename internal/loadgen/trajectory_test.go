@@ -1,17 +1,20 @@
 package loadgen
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"prioritystar/internal/stats"
 )
 
 // sampleRecord builds a minimal valid run record.
 func sampleRecord(p95 int64) Record {
-	var sk Sketch
+	var sk stats.Sketch
 	for i := int64(0); i < 50; i++ {
 		sk.Add(p95)
 	}
@@ -49,6 +52,58 @@ func TestTrajectoryAppendAndRead(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	if n := strings.Count(string(data), TrajectorySchema); n != 1 {
 		t.Errorf("header appears %d times, want 1", n)
+	}
+}
+
+// TestCommittedTrajectoryReads: the committed BENCH_serve.json still reads
+// and gates through the trajectory reader, and every sketch in it decodes
+// and re-encodes to the exact bytes on disk, so the codec cannot drift
+// from the recorded history.
+func TestCommittedTrajectoryReads(t *testing.T) {
+	path := filepath.Join("..", "..", "BENCH_serve.json")
+	tr, err := ReadTrajectory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := tr.Last(); last == nil {
+		t.Fatal("committed trajectory has no records")
+	} else if v := Gate(last, last, 0.1); len(v) != 0 {
+		t.Errorf("newest record fails a gate against itself: %v", v)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sketches := 0
+	for i, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n"))[1:] {
+		var rec struct {
+			Ops map[string]struct {
+				Sketch json.RawMessage `json:"sketch"`
+			} `json:"ops"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		for name, op := range rec.Ops {
+			if op.Sketch == nil {
+				continue
+			}
+			var sk stats.Sketch
+			if err := json.Unmarshal(op.Sketch, &sk); err != nil {
+				t.Fatalf("record %d op %s: %v", i, name, err)
+			}
+			out, err := json.Marshal(&sk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out, op.Sketch) {
+				t.Errorf("record %d op %s: round trip changed bytes:\n%s\n%s", i, name, op.Sketch, out)
+			}
+			sketches++
+		}
+	}
+	if sketches == 0 {
+		t.Fatal("no sketches found in the committed trajectory")
 	}
 }
 

@@ -9,7 +9,6 @@ package obs
 
 import (
 	"encoding/json"
-	"math"
 	"sort"
 	"sync"
 
@@ -22,7 +21,7 @@ type MetricSet struct {
 	mu       sync.Mutex
 	counters map[string]int64
 	gauges   map[string]float64
-	hists    map[string]*stats.LogHistogram
+	hists    map[string]*stats.Sketch
 }
 
 // Add increments counter name by delta (creating it at zero first).
@@ -74,82 +73,34 @@ func (m *MetricSet) SetMax(name string, v float64) {
 }
 
 // Observe records one observation into histogram name (creating it empty
-// first). Histograms are power-of-two log buckets (stats.LogHistogram):
-// cheap enough for per-request latency recording and mergeable across
-// processes bucket-wise.
+// first). Histograms are stats.Sketch: exact below 64 and within ~3.1%
+// above, cheap enough for per-request latency recording, and mergeable
+// across processes bucket-wise.
 func (m *MetricSet) Observe(name string, v int64) {
 	m.mu.Lock()
 	if m.hists == nil {
-		m.hists = make(map[string]*stats.LogHistogram)
+		m.hists = make(map[string]*stats.Sketch)
 	}
 	h := m.hists[name]
 	if h == nil {
-		h = &stats.LogHistogram{}
+		h = &stats.Sketch{}
 		m.hists[name] = h
 	}
 	h.Add(v)
 	m.mu.Unlock()
 }
 
-// HistogramSnapshot is the wire form of one histogram: total observation
-// count plus per-bucket counts trimmed after the last occupied bucket.
-// Bucket 0 holds zeros and bucket k (k >= 1) covers [2^(k-1), 2^k), exactly
-// as in stats.LogHistogram, so two snapshots merge by element-wise adding
-// Buckets.
-type HistogramSnapshot struct {
-	Count   int64   `json:"count"`
-	Buckets []int64 `json:"buckets,omitempty"`
-}
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1): the
-// inclusive upper edge of the first bucket whose cumulative count reaches q.
-func (h HistogramSnapshot) Quantile(q float64) int64 {
-	if h.Count == 0 {
-		return 0
-	}
-	q = math.Min(math.Max(q, 0), 1)
-	target := int64(math.Ceil(q * float64(h.Count)))
-	if target < 1 {
-		target = 1
-	}
-	seen := int64(0)
-	for i, c := range h.Buckets {
-		seen += c
-		if seen >= target {
-			if i == 0 {
-				return 0
-			}
-			if i >= 63 {
-				return math.MaxInt64
-			}
-			return 1<<i - 1
-		}
-	}
-	return math.MaxInt64
-}
-
-// merge adds o's buckets into h element-wise, extending h as needed.
-func (h *HistogramSnapshot) merge(o HistogramSnapshot) {
-	if len(o.Buckets) > len(h.Buckets) {
-		grown := make([]int64, len(o.Buckets))
-		copy(grown, h.Buckets)
-		h.Buckets = grown
-	}
-	for i, c := range o.Buckets {
-		h.Buckets[i] += c
-	}
-	h.Count += o.Count
-}
-
 // Snapshot is a consistent copy of every metric, rendered with sorted keys
-// so two identical states marshal to identical bytes.
+// so two identical states marshal to identical bytes. Histograms travel in
+// the sketch's validated JSON form, so decoding a corrupt body fails.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64         `json:"counters"`
+	Gauges     map[string]float64       `json:"gauges"`
+	Histograms map[string]*stats.Sketch `json:"histograms,omitempty"`
 }
 
 // Snapshot copies the current metric values under one lock acquisition.
+// The copy is deep: later observations never move a snapshot's histograms.
 func (m *MetricSet) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -157,27 +108,17 @@ func (m *MetricSet) Snapshot() Snapshot {
 		Counters: make(map[string]int64, len(m.counters)),
 		Gauges:   make(map[string]float64, len(m.gauges)),
 	}
-	for k, v := range m.counters {
-		s.Counters[k] = v
-	}
-	for k, v := range m.gauges {
-		s.Gauges[k] = v
-	}
-	if len(m.hists) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(m.hists))
-		for k, h := range m.hists {
-			s.Histograms[k] = HistogramSnapshot{Count: h.Count(), Buckets: h.Counts()}
-		}
-	}
+	s.Merge(Snapshot{Counters: m.counters, Gauges: m.gauges, Histograms: m.hists})
 	return s
 }
 
-// Merge folds o into s: counters add, gauges in o overwrite, histograms sum
-// bucket-wise (a colliding key is two views of the same distribution — e.g.
-// a client and a daemon both timing http_submit_us — so the merged
-// histogram holds both ends' observations, never just one). psctl uses it
-// to fold its client-side metrics into the daemon's snapshot before
-// printing, so one document shows both ends of the connection.
+// Merge folds o into s: counters add, gauges in o overwrite, histograms
+// merge bucket-wise into sketches s owns, so s never aliases o (a colliding
+// key is two views of the same distribution — e.g. a client and a daemon
+// both timing http_submit_us — so the merged histogram holds both ends'
+// observations, never just one). psctl uses it to fold its client-side
+// metrics into the daemon's snapshot before printing, so one document shows
+// both ends of the connection.
 func (s *Snapshot) Merge(o Snapshot) {
 	if s.Counters == nil && len(o.Counters) > 0 {
 		s.Counters = make(map[string]int64, len(o.Counters))
@@ -192,12 +133,15 @@ func (s *Snapshot) Merge(o Snapshot) {
 		s.Gauges[k] = v
 	}
 	if s.Histograms == nil && len(o.Histograms) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(o.Histograms))
+		s.Histograms = make(map[string]*stats.Sketch, len(o.Histograms))
 	}
 	for k, v := range o.Histograms {
 		h := s.Histograms[k]
-		h.merge(v)
-		s.Histograms[k] = h
+		if h == nil {
+			h = &stats.Sketch{}
+			s.Histograms[k] = h
+		}
+		h.Merge(v)
 	}
 }
 

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
+
+	"prioritystar/internal/stats"
 )
 
 func TestMetricSetBasics(t *testing.T) {
@@ -54,23 +57,21 @@ func TestMetricSetObserveQuantiles(t *testing.T) {
 		m.Observe("lat_us", v)
 	}
 	s := m.Snapshot()
-	h, ok := s.Histograms["lat_us"]
-	if !ok {
+	h := s.Histograms["lat_us"]
+	if h == nil {
 		t.Fatal("snapshot lost the histogram")
 	}
-	if h.Count != 1000 {
-		t.Fatalf("Count = %d, want 1000", h.Count)
+	if h.Count() != 1000 {
+		t.Fatalf("Count = %d, want 1000", h.Count())
 	}
-	// Log buckets answer quantiles within one power of two: the true p50 is
-	// 500, so the reported upper bound must be in [500, 1023].
-	if q := h.Quantile(0.5); q < 500 || q > 1023 {
-		t.Fatalf("p50 = %d, want in [500, 1023]", q)
+	// The sketch answers an upper bound within one sub-bucket (1/32) of the
+	// true value: p50 is 500 and lands in bucket 158, [496, 503]; p100 is
+	// capped at the exact maximum.
+	if q := h.Quantile(0.5); q < 500 || q > 500+500/32 {
+		t.Fatalf("p50 = %d, want within 1/32 above 500", q)
 	}
-	if q := h.Quantile(1); q < 1000 || q > 1023 {
-		t.Fatalf("p100 = %d, want in [1000, 1023]", q)
-	}
-	if q := (HistogramSnapshot{}).Quantile(0.99); q != 0 {
-		t.Fatalf("empty histogram quantile = %d, want 0", q)
+	if q := h.Quantile(1); q != 1000 {
+		t.Fatalf("p100 = %d, want 1000", q)
 	}
 }
 
@@ -81,10 +82,10 @@ func TestMetricSetObserveQuantiles(t *testing.T) {
 func TestSnapshotMergeSumsHistograms(t *testing.T) {
 	var server, client MetricSet
 	for i := 0; i < 10; i++ {
-		server.Observe("http_submit_us", 100) // bucket 7: [64, 128)
+		server.Observe("http_submit_us", 100) // bucket 82: [100, 101]
 	}
 	for i := 0; i < 5; i++ {
-		client.Observe("http_submit_us", 1000) // bucket 10: [512, 1024)
+		client.Observe("http_submit_us", 1000) // bucket 190: [992, 1007]
 	}
 	client.Observe("client_only_us", 3)
 	server.Add("jobs", 2)
@@ -95,22 +96,23 @@ func TestSnapshotMergeSumsHistograms(t *testing.T) {
 	snap := server.Snapshot()
 	snap.Merge(client.Snapshot())
 
-	h := snap.Histograms["http_submit_us"]
-	if h.Count != 15 {
-		t.Fatalf("merged count = %d, want 10+5", h.Count)
-	}
-	if len(h.Buckets) != 11 || h.Buckets[7] != 10 || h.Buckets[10] != 5 {
-		t.Fatalf("merged buckets = %v, want 10 at bucket 7 and 5 at bucket 10", h.Buckets)
-	}
 	// The merged distribution answers quantiles spanning both sides: p50
-	// lands in the server's bucket, p99 in the client's.
-	if q := h.Quantile(0.5); q != 127 {
-		t.Fatalf("merged p50 = %d, want 127", q)
+	// is the upper edge of the server's bucket, p99 the client's value
+	// (capped at the exact maximum).
+	checkMerged := func(what string, h *stats.Sketch) {
+		t.Helper()
+		if h.Count() != 15 || h.Min() != 100 || h.Max() != 1000 {
+			t.Fatalf("%s: count/min/max = %d/%d/%d, want 15/100/1000", what, h.Count(), h.Min(), h.Max())
+		}
+		if q := h.Quantile(0.5); q != 101 {
+			t.Fatalf("%s: p50 = %d, want 101", what, q)
+		}
+		if q := h.Quantile(0.99); q != 1000 {
+			t.Fatalf("%s: p99 = %d, want 1000", what, q)
+		}
 	}
-	if q := h.Quantile(0.99); q != 1023 {
-		t.Fatalf("merged p99 = %d, want 1023", q)
-	}
-	if got := snap.Histograms["client_only_us"].Count; got != 1 {
+	checkMerged("merged", snap.Histograms["http_submit_us"])
+	if got := snap.Histograms["client_only_us"].Count(); got != 1 {
 		t.Fatalf("client-only histogram lost: count = %d", got)
 	}
 	if snap.Counters["jobs"] != 3 {
@@ -119,12 +121,52 @@ func TestSnapshotMergeSumsHistograms(t *testing.T) {
 	if snap.Gauges["depth"] != 1 {
 		t.Fatalf("gauges = %v, want depth overwritten to 1", snap.Gauges)
 	}
-	// Merging into an empty snapshot must deep-copy, not alias.
+	// Merging into an empty snapshot must deep-copy, not alias: recording
+	// more into the source afterwards leaves the merged copy where it was.
 	var empty Snapshot
 	empty.Merge(snap)
-	if empty.Histograms["http_submit_us"].Count != 15 {
-		t.Fatalf("merge into empty snapshot = %+v", empty.Histograms)
+	for i := 0; i < 100; i++ {
+		snap.Histograms["http_submit_us"].Add(50000)
 	}
+	checkMerged("merged into empty", empty.Histograms["http_submit_us"])
+}
+
+// TestMetricSetSnapshotDeepCopy: a snapshot taken while other goroutines
+// keep observing never moves afterwards, and reading it does not race with
+// them (run it under -race -count=10).
+func TestMetricSetSnapshotDeepCopy(t *testing.T) {
+	var m MetricSet
+	m.Observe("lat_us", 7)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := int64(1000); ; v++ {
+				select {
+				case <-stop:
+					return
+				default:
+					m.Observe("lat_us", v)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		h := m.Snapshot().Histograms["lat_us"]
+		n, p50, max := h.Count(), h.Quantile(0.5), h.Max()
+		// Wait until the live histogram has moved past the snapshot.
+		for m.Snapshot().Histograms["lat_us"].Count() == n {
+			runtime.Gosched()
+		}
+		if h.Count() != n || h.Quantile(0.5) != p50 || h.Max() != max {
+			t.Fatalf("snapshot moved: count/p50/max %d/%d/%d -> %d/%d/%d",
+				n, p50, max, h.Count(), h.Quantile(0.5), h.Max())
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestMetricSetConcurrent(t *testing.T) {

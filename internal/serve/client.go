@@ -306,11 +306,20 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 	}
 }
 
-// Metrics fetches the daemon's metric snapshot.
+// MetricsSnapshot fetches the daemon's metric snapshot. Histograms decode
+// through the sketch's validated codec, so a corrupt or null histogram in
+// the body is an error rather than a silently wrong distribution.
 func (c *Client) MetricsSnapshot(ctx context.Context) (obs.Snapshot, error) {
 	var s obs.Snapshot
-	err := c.do(ctx, http.MethodGet, "/metrics", nil, &s)
-	return s, err
+	if err := c.do(ctx, http.MethodGet, "/metrics", nil, &s); err != nil {
+		return s, err
+	}
+	for name, h := range s.Histograms {
+		if h == nil {
+			return s, fmt.Errorf("serve: /metrics histogram %q is null", name)
+		}
+	}
+	return s, nil
 }
 
 // Watch follows a job to completion, invoking onEvent (when non-nil) for

@@ -214,9 +214,11 @@ func New(cfg Config) (*Server, error) {
 }
 
 // instrument wraps a handler with a server-side latency histogram,
-// http_<name>_us. For the SSE endpoint the recorded value is the stream's
-// lifetime, not a per-request service time. The load harness (cmd/psload)
-// cross-checks its client-observed latencies against these histograms.
+// http_<name>_us, served on /metrics. For the SSE endpoint the recorded
+// value is the stream's lifetime, not a per-request service time. The
+// histograms are the same stats.Sketch the load harness (cmd/psload)
+// records client-side, so the two ends' quantiles are directly comparable;
+// nothing compares them automatically.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	metric := "http_" + name + "_us"
 	return func(w http.ResponseWriter, r *http.Request) {

@@ -158,6 +158,39 @@ func TestEndToEndCacheHitByteIdentical(t *testing.T) {
 	if snap.Counters["cache_hits"] != 1 {
 		t.Errorf("/metrics cache_hits = %d, want 1", snap.Counters["cache_hits"])
 	}
+	if h := snap.Histograms["http_submit_us"]; h == nil || h.Count() != 2 {
+		t.Errorf("/metrics http_submit_us = %+v, want both submissions", h)
+	}
+}
+
+// TestMetricsSnapshotRejectsCorruptHistogram: a /metrics body arrives from
+// outside the process, so a histogram that fails the sketch codec's
+// validation (or is null) must surface as an error, never as a silently
+// wrong distribution.
+func TestMetricsSnapshotRejectsCorruptHistogram(t *testing.T) {
+	const good = `{"v":1,"count":2,"sum":10,"min":3,"max":7,"buckets":[[3,1],[7,1]]}`
+	bodies := map[string]string{
+		"count mismatch": `{"v":1,"count":5,"sum":10,"min":3,"max":7,"buckets":[[3,1],[7,1]]}`,
+		"wrong version":  `{"v":2,"count":2,"sum":10,"min":3,"max":7,"buckets":[[3,1],[7,1]]}`,
+		"old log format": `{"count":2,"buckets":[0,0,1,1]}`,
+		"null":           `null`,
+		"valid":          good,
+	}
+	for name, hist := range bodies {
+		body := `{"counters":{"jobs":1},"gauges":{},"histograms":{"http_submit_us":` + hist + `}}`
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Write([]byte(body))
+		}))
+		snap, err := NewClient(hs.URL).MetricsSnapshot(context.Background())
+		hs.Close()
+		if name == "valid" {
+			if err != nil || snap.Histograms["http_submit_us"].Quantile(1) != 7 {
+				t.Errorf("valid body: %v, %+v", err, snap)
+			}
+		} else if err == nil {
+			t.Errorf("%s: corrupt histogram accepted: %+v", name, snap.Histograms)
+		}
+	}
 }
 
 // TestConcurrentDuplicatesRunOnce: many simultaneous submissions of one

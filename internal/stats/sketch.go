@@ -1,10 +1,11 @@
-package loadgen
+package stats
 
-// Sketch is an HDR-style streaming quantile sketch for latencies, used by
-// the load harness to record per-endpoint service times without keeping
-// raw samples. Values (microseconds) below 64 land in exact linear
-// buckets; above that each power-of-two octave is split into 32
-// sub-buckets, bounding the relative quantile error at 1/32 (~3.1%)
+// Sketch is an HDR-style streaming quantile sketch, the module's one
+// histogram type: the load harness records per-endpoint client latencies
+// in it, the daemon's /metrics histograms are sketches, and the occupancy
+// probe samples queue backlog and depth into it. Values below 64 land in
+// exact linear buckets; above that each power-of-two octave is split into
+// 32 sub-buckets, bounding the relative quantile error at 1/32 (~3.1%)
 // across the full int64 range. Add is a few integer operations and
 // allocation-free after the first observation, so a fleet of hundreds of
 // clients can record every request; per-worker sketches merge exactly
@@ -12,8 +13,8 @@ package loadgen
 //
 // The JSON form is versioned and validated on decode: BENCH_serve.json
 // embeds sketches so future tooling can recompute any quantile from a
-// committed trajectory, and a corrupt or truncated file must fail cleanly
-// (see FuzzSketchDecode).
+// committed trajectory, /metrics bodies carry them between processes, and
+// a corrupt or truncated document must fail cleanly (see FuzzSketchDecode).
 
 import (
 	"encoding/json"
@@ -186,23 +187,23 @@ func (s *Sketch) MarshalJSON() ([]byte, error) {
 func (s *Sketch) UnmarshalJSON(data []byte) error {
 	var in sketchJSON
 	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("loadgen: decoding sketch: %w", err)
+		return fmt.Errorf("stats: decoding sketch: %w", err)
 	}
 	if in.V != sketchVersion {
-		return fmt.Errorf("loadgen: unsupported sketch version %d (want %d)", in.V, sketchVersion)
+		return fmt.Errorf("stats: unsupported sketch version %d (want %d)", in.V, sketchVersion)
 	}
 	if in.Count < 0 {
-		return fmt.Errorf("loadgen: sketch count %d is negative", in.Count)
+		return fmt.Errorf("stats: sketch count %d is negative", in.Count)
 	}
 	if in.Count == 0 {
 		if len(in.Buckets) != 0 {
-			return fmt.Errorf("loadgen: empty sketch carries %d buckets", len(in.Buckets))
+			return fmt.Errorf("stats: empty sketch carries %d buckets", len(in.Buckets))
 		}
 		*s = Sketch{}
 		return nil
 	}
 	if in.Min < 0 || in.Max < in.Min {
-		return fmt.Errorf("loadgen: sketch range [%d, %d] is invalid", in.Min, in.Max)
+		return fmt.Errorf("stats: sketch range [%d, %d] is invalid", in.Min, in.Max)
 	}
 	counts := make([]int64, sketchBuckets)
 	total := int64(0)
@@ -210,17 +211,17 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 	for _, b := range in.Buckets {
 		idx, c := b[0], b[1]
 		if idx <= prev || idx >= sketchBuckets {
-			return fmt.Errorf("loadgen: sketch bucket index %d out of order or range", idx)
+			return fmt.Errorf("stats: sketch bucket index %d out of order or range", idx)
 		}
 		if c <= 0 || c > in.Count {
-			return fmt.Errorf("loadgen: sketch bucket %d has impossible count %d", idx, c)
+			return fmt.Errorf("stats: sketch bucket %d has impossible count %d", idx, c)
 		}
 		counts[idx] = c
 		total += c
 		prev = idx
 	}
 	if total != in.Count {
-		return fmt.Errorf("loadgen: sketch buckets sum to %d, header says %d", total, in.Count)
+		return fmt.Errorf("stats: sketch buckets sum to %d, header says %d", total, in.Count)
 	}
 	*s = Sketch{counts: counts, count: in.Count, sum: in.Sum, min: in.Min, max: in.Max}
 	return nil

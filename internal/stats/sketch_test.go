@@ -1,11 +1,10 @@
-package loadgen
+package stats
 
 import (
 	"encoding/json"
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 )
@@ -14,6 +13,9 @@ import (
 // below 64 is its own bucket, so quantiles there are exact.
 func TestSketchExactBelowLinearMax(t *testing.T) {
 	var s Sketch
+	if s.Count() != 0 || s.Mean() != 0 || s.Quantile(0.5) != 0 || s.Max() != 0 {
+		t.Errorf("zero value not empty: count=%d mean=%v q50=%d", s.Count(), s.Mean(), s.Quantile(0.5))
+	}
 	for v := int64(0); v < sketchLinearMax; v++ {
 		s.Add(v)
 	}
@@ -25,6 +27,14 @@ func TestSketchExactBelowLinearMax(t *testing.T) {
 	}
 	if got := s.Quantile(0); got != 0 {
 		t.Errorf("p0 = %d, want 0", got)
+	}
+	if s.Quantile(-1) != s.Quantile(0) || s.Quantile(2) != s.Quantile(1) {
+		t.Error("out-of-range quantiles not clamped")
+	}
+	var neg Sketch
+	neg.Add(-5) // clamps to zero
+	if neg.Min() != 0 || neg.Max() != 0 || neg.Quantile(1) != 0 {
+		t.Errorf("negative observation: min/max/p100 = %d/%d/%d, want 0", neg.Min(), neg.Max(), neg.Quantile(1))
 	}
 }
 
@@ -78,6 +88,11 @@ func TestSketchBucketBoundaries(t *testing.T) {
 		}
 		prev = idx
 	}
+	var top Sketch
+	top.Add(math.MaxInt64)
+	if got := top.Quantile(1); got != math.MaxInt64 {
+		t.Errorf("p100 of MaxInt64 = %d", got)
+	}
 }
 
 // TestSketchMergeMatchesUnion pins that merging per-worker sketches is
@@ -95,9 +110,9 @@ func TestSketchMergeMatchesUnion(t *testing.T) {
 		}
 	}
 	a.Merge(&b)
-	if a.Count() != union.Count() || a.Min() != union.Min() || a.Max() != union.Max() {
-		t.Fatalf("merged count/min/max = %d/%d/%d, union %d/%d/%d",
-			a.Count(), a.Min(), a.Max(), union.Count(), union.Min(), union.Max())
+	if a.Count() != union.Count() || a.Min() != union.Min() || a.Max() != union.Max() || a.Mean() != union.Mean() {
+		t.Fatalf("merged count/min/max/mean = %d/%d/%d/%v, union %d/%d/%d/%v",
+			a.Count(), a.Min(), a.Max(), a.Mean(), union.Count(), union.Min(), union.Max(), union.Mean())
 	}
 	for _, q := range []float64{0.01, 0.25, 0.5, 0.75, 0.95, 0.99} {
 		if got, want := a.Quantile(q), union.Quantile(q); got != want {
@@ -137,15 +152,15 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 // doctored document must produce an error, never a panic or silent accept.
 func TestSketchDecodeRejectsCorruption(t *testing.T) {
 	cases := map[string]string{
-		"wrong version":      `{"v":2,"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,1]]}`,
-		"negative count":     `{"v":1,"count":-3,"sum":0,"min":0,"max":0}`,
-		"empty with buckets": `{"v":1,"count":0,"sum":0,"min":0,"max":0,"buckets":[[1,1]]}`,
-		"max below min":      `{"v":1,"count":1,"sum":5,"min":9,"max":5,"buckets":[[5,1]]}`,
+		"wrong version":       `{"v":2,"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,1]]}`,
+		"negative count":      `{"v":1,"count":-3,"sum":0,"min":0,"max":0}`,
+		"empty with buckets":  `{"v":1,"count":0,"sum":0,"min":0,"max":0,"buckets":[[1,1]]}`,
+		"max below min":       `{"v":1,"count":1,"sum":5,"min":9,"max":5,"buckets":[[5,1]]}`,
 		"bucket out of range": `{"v":1,"count":1,"sum":5,"min":5,"max":5,"buckets":[[99999,1]]}`,
-		"buckets unordered":  `{"v":1,"count":2,"sum":10,"min":3,"max":7,"buckets":[[7,1],[3,1]]}`,
-		"count mismatch":     `{"v":1,"count":5,"sum":10,"min":3,"max":7,"buckets":[[3,1],[7,1]]}`,
-		"zero bucket count":  `{"v":1,"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,0],[6,1]]}`,
-		"not json":           `{"v":1,`,
+		"buckets unordered":   `{"v":1,"count":2,"sum":10,"min":3,"max":7,"buckets":[[7,1],[3,1]]}`,
+		"count mismatch":      `{"v":1,"count":5,"sum":10,"min":3,"max":7,"buckets":[[3,1],[7,1]]}`,
+		"zero bucket count":   `{"v":1,"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,0],[6,1]]}`,
+		"not json":            `{"v":1,`,
 	}
 	for name, doc := range cases {
 		var s Sketch
@@ -188,62 +203,4 @@ func FuzzSketchDecode(f *testing.F) {
 			t.Fatalf("round trip changed sketch: %s", out)
 		}
 	})
-}
-
-// TestParseMix covers named mixes, explicit weights, and rejects.
-func TestParseMix(t *testing.T) {
-	for _, name := range MixNames() {
-		m, err := ParseMix(name)
-		if err != nil {
-			t.Errorf("built-in %q: %v", name, err)
-		}
-		if m.total() == 0 {
-			t.Errorf("built-in %q has zero weight", name)
-		}
-	}
-	m, err := ParseMix("hit=3,watch=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Has(OpSubmitHit) || !m.Has(OpWatch) || m.Has(OpOverloadBurst) {
-		t.Errorf("explicit mix wrong: %+v", m)
-	}
-	for _, bad := range []string{"nope", "hit=x", "zork=3", "hit=0,miss=0", "hit"} {
-		if _, err := ParseMix(bad); err == nil {
-			t.Errorf("ParseMix(%q) accepted", bad)
-		}
-	}
-	if def, err := ParseMix(""); err != nil || def.Name != "mixed" {
-		t.Errorf("empty mix = %+v, %v; want the mixed default", def, err)
-	}
-}
-
-// TestMixPickDeterministic pins fleet determinism at the draw level: the
-// same seed yields the same operation sequence.
-func TestMixPickDeterministic(t *testing.T) {
-	m, _ := ParseMix("mixed")
-	draw := func() []Op {
-		rng := rand.New(rand.NewSource(99))
-		out := make([]Op, 200)
-		for i := range out {
-			out[i] = m.pick(rng)
-		}
-		return out
-	}
-	a, b := draw(), draw()
-	counts := map[Op]int{}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("draw %d differs: %v vs %v", i, a[i], b[i])
-		}
-		counts[a[i]]++
-	}
-	for op := Op(0); op < numOps; op++ {
-		if m.Has(op) && counts[op] == 0 {
-			t.Errorf("op %v never drawn in 200 picks despite weight %d", op, m.Weights[op])
-		}
-	}
-	if strings.Contains(m.String(), "=") {
-		t.Errorf("named mix renders as %q, want its name", m.String())
-	}
 }

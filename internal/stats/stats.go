@@ -1,14 +1,14 @@
 // Package stats provides the streaming statistics used by the simulator and
-// the experiment harness: Welford mean/variance accumulators, fixed-bin
-// histograms with quantile queries, allocation-free streaming log-bucket
-// histograms for observability probes, and multi-replication summaries with
-// normal-approximation confidence intervals.
+// the experiment harness: Welford mean/variance accumulators, Sketch (the
+// one histogram type: mergeable quantiles within ~3.1% relative error, with
+// a validated JSON codec) for latencies and observability probes, and
+// multi-replication summaries with normal-approximation confidence
+// intervals.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 )
 
@@ -107,197 +107,6 @@ func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
 func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.4f sd=%.4f min=%.4f max=%.4f",
 		w.n, w.Mean(), w.StdDev(), w.min, w.max)
-}
-
-// Histogram is a fixed-width-bin histogram over [0, binWidth*bins), with an
-// overflow bin for larger observations. It answers approximate quantile
-// queries (exact to within one bin width).
-type Histogram struct {
-	binWidth float64
-	counts   []int64
-	overflow int64
-	total    int64
-	w        Welford
-}
-
-// NewHistogram creates a histogram with the given number of bins of the
-// given width.
-func NewHistogram(bins int, binWidth float64) *Histogram {
-	if bins <= 0 || binWidth <= 0 {
-		panic(fmt.Sprintf("stats: invalid histogram shape (%d bins, width %g)", bins, binWidth))
-	}
-	return &Histogram{binWidth: binWidth, counts: make([]int64, bins)}
-}
-
-// Add records one observation. Negative observations land in bin 0.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.w.Add(x)
-	if x < 0 {
-		h.counts[0]++
-		return
-	}
-	bin := int(x / h.binWidth)
-	if bin >= len(h.counts) {
-		h.overflow++
-		return
-	}
-	h.counts[bin]++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Mean returns the exact mean of all observations (not binned).
-func (h *Histogram) Mean() float64 { return h.w.Mean() }
-
-// Overflow returns how many observations exceeded the histogram range.
-func (h *Histogram) Overflow() int64 { return h.overflow }
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1), accurate
-// to one bin width. Observations in the overflow bin yield +Inf.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(math.Ceil(q * float64(h.total)))
-	if target < 1 {
-		target = 1
-	}
-	seen := int64(0)
-	for i, c := range h.counts {
-		seen += c
-		if seen >= target {
-			return float64(i+1) * h.binWidth
-		}
-	}
-	return math.Inf(1)
-}
-
-// LogHistogram is a streaming histogram over nonnegative integers with
-// power-of-two buckets: bucket k (k >= 1) covers [2^(k-1), 2^k) and bucket 0
-// holds zeros (negative observations are clamped to zero). Unlike Histogram
-// it needs no a-priori range, never allocates after creation, and Add is a
-// handful of integer operations — cheap enough to sample once per simulated
-// slot from an observability probe. The zero value is ready to use.
-type LogHistogram struct {
-	counts [65]int64
-	total  int64
-	w      Welford
-}
-
-// Add records one observation.
-func (h *LogHistogram) Add(v int64) {
-	h.total++
-	h.w.Add(float64(v))
-	if v < 0 {
-		v = 0
-	}
-	h.counts[bits.Len64(uint64(v))]++
-}
-
-// Count returns the number of observations.
-func (h *LogHistogram) Count() int64 { return h.total }
-
-// Mean returns the exact mean of all observations (not binned).
-func (h *LogHistogram) Mean() float64 { return h.w.Mean() }
-
-// Min returns the smallest observation (0 when empty).
-func (h *LogHistogram) Min() int64 { return int64(h.w.Min()) }
-
-// Max returns the largest observation (0 when empty).
-func (h *LogHistogram) Max() int64 { return int64(h.w.Max()) }
-
-// Merge combines another histogram into h.
-func (h *LogHistogram) Merge(o *LogHistogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	h.w.Merge(o.w)
-}
-
-// bucketHi returns the largest value bucket i can hold.
-func bucketHi(i int) int64 {
-	if i == 0 {
-		return 0
-	}
-	if i >= 63 {
-		return math.MaxInt64
-	}
-	return 1<<i - 1
-}
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1): the
-// inclusive upper edge of the first bucket whose cumulative count reaches q.
-func (h *LogHistogram) Quantile(q float64) int64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(math.Ceil(q * float64(h.total)))
-	if target < 1 {
-		target = 1
-	}
-	seen := int64(0)
-	for i, c := range h.counts {
-		seen += c
-		if seen >= target {
-			return bucketHi(i)
-		}
-	}
-	return math.MaxInt64 // unreachable: buckets cover every int64
-}
-
-// Counts returns the raw per-bucket counts, trimmed after the last occupied
-// bucket (nil when empty). Index k is bucket k as documented on
-// LogHistogram; consumers that serialize histograms (obs.MetricSet) merge
-// two histograms by adding these slices element-wise.
-func (h *LogHistogram) Counts() []int64 {
-	hi := -1
-	for i, c := range h.counts {
-		if c != 0 {
-			hi = i
-		}
-	}
-	if hi < 0 {
-		return nil
-	}
-	return append([]int64(nil), h.counts[:hi+1]...)
-}
-
-// LogBucket is one occupied bucket of a LogHistogram: the inclusive value
-// range [Lo, Hi] and its observation count.
-type LogBucket struct {
-	Lo, Hi int64
-	Count  int64
-}
-
-// Buckets returns the occupied buckets in ascending order.
-func (h *LogHistogram) Buckets() []LogBucket {
-	var out []LogBucket
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		lo := int64(0)
-		if i >= 1 {
-			lo = bucketHi(i-1) + 1
-		}
-		out = append(out, LogBucket{Lo: lo, Hi: bucketHi(i), Count: c})
-	}
-	return out
 }
 
 // Summary captures a set of per-replication values and reports their mean

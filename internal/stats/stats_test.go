@@ -146,73 +146,6 @@ func TestQuickWelfordMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(10, 1.0)
-	for _, x := range []float64{0.5, 1.5, 1.7, 9.9, 25} {
-		h.Add(x)
-	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Overflow() != 1 {
-		t.Errorf("overflow = %d", h.Overflow())
-	}
-	if !almost(h.Mean(), (0.5+1.5+1.7+9.9+25)/5, 1e-12) {
-		t.Errorf("mean = %g", h.Mean())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(100, 1.0)
-	for i := 1; i <= 100; i++ {
-		h.Add(float64(i) - 0.5) // one observation per bin
-	}
-	if q := h.Quantile(0.5); q != 50 {
-		t.Errorf("median = %g, want 50", q)
-	}
-	if q := h.Quantile(0.99); q != 99 {
-		t.Errorf("p99 = %g, want 99", q)
-	}
-	if q := h.Quantile(0); q != 1 {
-		t.Errorf("q0 = %g, want 1 (first nonempty bin)", q)
-	}
-	if q := h.Quantile(-1); q != 1 {
-		t.Errorf("q<0 clamps to 0: got %g", q)
-	}
-	if q := h.Quantile(2); q != 100 {
-		t.Errorf("q>1 clamps to 1: got %g", q)
-	}
-}
-
-func TestHistogramQuantileOverflow(t *testing.T) {
-	h := NewHistogram(2, 1.0)
-	h.Add(0.5)
-	h.Add(100)
-	if q := h.Quantile(1.0); !math.IsInf(q, 1) {
-		t.Errorf("overflow quantile = %g, want +Inf", q)
-	}
-}
-
-func TestHistogramNegativeAndEmpty(t *testing.T) {
-	h := NewHistogram(4, 1.0)
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-	h.Add(-3)
-	if h.Quantile(1) != 1 {
-		t.Error("negative observations should land in bin 0")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram shape should panic")
-		}
-	}()
-	NewHistogram(0, 1)
-}
-
 func TestSummary(t *testing.T) {
 	var s Summary
 	if s.Mean() != 0 || s.HalfWidth95() != 0 || s.Median() != 0 || s.N() != 0 {
