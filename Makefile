@@ -53,7 +53,7 @@ help:
 	@echo "                stats.Sketch codec, the BENCH_serve reader, and"
 	@echo "                the fleet wire protocol (FUZZTIME=30s to change)"
 	@echo "  bench         go test -bench over every figure benchmark"
-	@echo "  bench-json    engine benchmarks -> BENCH_sim.json"
+	@echo "  bench-json    engine benchmarks -> a new BENCH_sim.json record"
 	@echo "                (make bench-json BENCH_BASELINE=old.json for speedups)"
 	@echo "  bench-gate    short bench vs committed BENCH_sim.json; fails on"
 	@echo "                regression (BENCH_GATE=1 wires it into 'check')"
@@ -211,8 +211,9 @@ test:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable engine benchmarks -> BENCH_sim.json. To embed before/after
-# speedups, measure the old tree first and pass it as the baseline:
+# Machine-readable engine benchmarks, appended as a record (stamped with the
+# git revision) to the BENCH_sim.json trajectory. To embed before/after
+# speedups, pass a trajectory whose latest record measured the old tree:
 #   make bench-json BENCH_BASELINE=old.json
 BENCH_BASELINE ?=
 bench-json:
@@ -220,11 +221,12 @@ bench-json:
 		$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE))
 
 # Perf regression gate: rerun the short bench and fail if any workload's
-# slots/s fall more than BENCH_GATE_TOL below the committed BENCH_sim.json.
-# Quick-sized runs amortize per-run setup over 4x fewer slots and share the
-# box with whatever else is running, so the default tolerance is looser than
-# the full-size 10% bar; run `bench -gate BENCH_sim.json` (full size) for a
-# tight check on a quiet machine. Opt into `make check` with BENCH_GATE=1.
+# slots/s fall more than BENCH_GATE_TOL below the latest quick-sized
+# BENCH_sim.json record. Short runs share the box with whatever else is
+# running, so the default tolerance is looser than the full-size 10% bar;
+# run `bench -gate BENCH_sim.json` (full size, against the latest full-size
+# record) for a tight check on a quiet machine. Opt into `make check` with
+# BENCH_GATE=1.
 BENCH_GATE_TOL ?= 0.25
 bench-gate:
 	$(GO) run ./cmd/bench -quick -gate BENCH_sim.json -gate-tol $(BENCH_GATE_TOL)

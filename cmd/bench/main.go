@@ -1,34 +1,47 @@
 // Command bench runs the figure-class simulator benchmarks outside `go
-// test` and writes a machine-readable BENCH_sim.json, so the performance
-// trajectory of the engine (ns/op, allocs/op, simulated slots per second)
-// can be tracked across changes.
+// test` and appends a record to the BENCH_sim.json trajectory, so the
+// performance history of the engine (ns/op, allocs/op, simulated slots per
+// second) can be tracked across changes.
 //
-//	bench -out BENCH_sim.json                     # measure current tree
+//	bench -out BENCH_sim.json                     # append a record for the current tree
 //	bench -baseline old.json -out BENCH_sim.json  # also embed before/after speedups
-//	bench -quick                                  # smoke-sized (CI)
+//	bench -quick -out -                           # smoke-sized (CI), record to stdout
 //	bench -quick -gate BENCH_sim.json             # fail on >10% slots/s regression
 //	bench -pprof bench                            # bench.cpu.pprof + bench.mem.pprof
 //
-// With -baseline, each benchmark that also appears in the baseline file
-// reports the baseline's slots/sec as "before" alongside the fresh
-// measurement, plus the resulting speedup factor.
+// BENCH_sim.json is a JSON-lines trajectory (schema prioritystar-bench/v3):
+// a header line, then one record per run, oldest first, each stamped with
+// the time and the git revision of the measured tree (see gitRev). -out
+// appends; -gate and -baseline compare against the latest record of their
+// file of the same size, -quick or full (see latest). With -baseline, each
+// benchmark that also appears in that record reports its slots/sec as
+// "before" alongside the fresh measurement, plus the resulting speedup.
 //
-// The file schema is prioritystar-bench/v2: v2 adds per-measurement mode
+// Records carry the v2 measurement fields: per-measurement mode
 // ("sequential" or "batched"), replication counts, and aggregate slots per
-// second for batched multi-replication workloads. v1 files (no batched
-// series) are still accepted by -baseline and -gate.
+// second for batched multi-replication workloads. A single-document v1 or
+// v2 file (the format before the trajectory) reads as a one-record
+// trajectory, and appending to one converts it, keeping it as the first
+// record.
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"testing"
+	"time"
 
 	"prioritystar"
+	"prioritystar/internal/obs"
 )
 
 // workload is one benchmark: a topology and operating point, simulated for
@@ -131,9 +144,11 @@ type Measurement struct {
 	ProbeOverhead    float64 `json:"probe_overhead,omitempty"`
 }
 
-// File is the BENCH_sim.json document.
-type File struct {
-	Schema     string        `json:"schema"`
+// Record is one bench run: a line of the BENCH_sim.json trajectory.
+type Record struct {
+	Time       string        `json:"time,omitempty"`
+	Rev        string        `json:"rev,omitempty"`
+	Schema     string        `json:"schema,omitempty"` // set only on converted v1/v2 documents
 	GoVersion  string        `json:"go_version"`
 	GOOS       string        `json:"goos"`
 	GOARCH     string        `json:"goarch"`
@@ -141,27 +156,123 @@ type File struct {
 	Benchmarks []Measurement `json:"benchmarks"`
 }
 
-// schemaV1 and schemaV2 are the accepted file schemas; v2 is written.
+// header is the first line of a trajectory.
+type header struct {
+	Schema string `json:"schema"`
+}
+
+// schemaV1 and schemaV2 are the single-document formats that preceded the
+// trajectory; schemaV3 is the trajectory header.
 const (
 	schemaV1 = "prioritystar-bench/v1"
 	schemaV2 = "prioritystar-bench/v2"
+	schemaV3 = "prioritystar-bench/v3"
 )
 
-// loadFile reads and validates a bench JSON document, accepting both the
-// current v2 schema and legacy v1 files.
-func loadFile(path string) (*File, error) {
+// parseTrajectory decodes a trajectory, or a legacy v1/v2 document as a
+// one-record trajectory. legacy reports the latter.
+func parseTrajectory(data []byte) (recs []Record, legacy bool, err error) {
+	var doc Record
+	if json.Unmarshal(data, &doc) == nil && (doc.Schema == schemaV1 || doc.Schema == schemaV2) {
+		return []Record{doc}, true, nil
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	var h header
+	if err := json.Unmarshal(lines[0], &h); err != nil || h.Schema != schemaV3 {
+		return nil, false, fmt.Errorf("neither a %s trajectory nor a %s or %s document", schemaV3, schemaV1, schemaV2)
+	}
+	for i, line := range lines[1:] {
+		var r Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			return nil, false, fmt.Errorf("line %d: %v", i+2, err)
+		}
+		recs = append(recs, r)
+	}
+	return recs, false, nil
+}
+
+// latest reads the trajectory at path and returns its most recent record
+// of the given size (-quick or full), or its most recent record when it
+// has none of that size: quick runs amortize per-run set-up over 4x fewer
+// slots, so they compare fairly only with quick records.
+func latest(path string, quick bool) (*Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
+	recs, _, err := parseTrajectory(data)
+	if err != nil {
 		return nil, fmt.Errorf("parsing %s: %v", path, err)
 	}
-	if f.Schema != schemaV1 && f.Schema != schemaV2 {
-		return nil, fmt.Errorf("%s: unknown schema %q (want %s or %s)", path, f.Schema, schemaV1, schemaV2)
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("%s: trajectory has no records", path)
 	}
-	return &f, nil
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Quick == quick {
+			return &recs[i], nil
+		}
+	}
+	return &recs[len(recs)-1], nil
+}
+
+// appendRecord appends rec to the trajectory at path, creating it when
+// absent or empty and converting a legacy v1/v2 document into the
+// trajectory's first record. Existing record lines are kept byte for byte,
+// and the file is replaced atomically.
+func appendRecord(path string, rec Record) error {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	out, _ := json.Marshal(header{Schema: schemaV3})
+	out = append(out, '\n')
+	data, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, os.ErrNotExist) || err == nil && len(bytes.TrimSpace(data)) == 0:
+	case err != nil:
+		return err
+	default:
+		recs, legacy, err := parseTrajectory(data)
+		if err != nil {
+			return fmt.Errorf("parsing %s: %v", path, err)
+		}
+		if !legacy {
+			out = append(bytes.TrimRight(data, "\n"), '\n')
+			break
+		}
+		first, err := json.Marshal(recs[0])
+		if err != nil {
+			return err
+		}
+		out = append(append(out, first...), '\n')
+	}
+	out = append(append(out, line...), '\n')
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, out, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// gitRev names the measured tree: the build's VCS stamp, else the HEAD of
+// the git checkout in the working directory. When the tracked Go sources
+// differ from HEAD it appends "+dirty." and a hash of that diff, so two
+// different uncommitted trees never share a stamp. "" when neither source
+// of a revision is available.
+func gitRev() string {
+	if rev := obs.GitRevision(); rev != "" {
+		return rev
+	}
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	rev := strings.TrimSpace(string(out))
+	diff, err := exec.Command("git", "diff", "HEAD", "--", "*.go", "go.mod").Output()
+	if err == nil && len(diff) > 0 {
+		rev += fmt.Sprintf("+dirty.%.6x", sha256.Sum256(diff))
+	}
+	return rev
 }
 
 func run(w workload, probe bool) (Measurement, error) {
@@ -261,10 +372,10 @@ func run(w workload, probe bool) (Measurement, error) {
 	return m, nil
 }
 
-// gateCheck compares fresh measurements against the committed floor file:
+// gateCheck compares fresh measurements against the committed floor record:
 // any workload present in both whose fresh slots/s fall more than tol below
 // the committed number is a regression.
-func gateCheck(fresh []Measurement, committed *File, tol float64) []string {
+func gateCheck(fresh []Measurement, committed *Record, tol float64) []string {
 	floor := make(map[string]Measurement, len(committed.Benchmarks))
 	for _, m := range committed.Benchmarks {
 		floor[m.Name] = m
@@ -285,12 +396,12 @@ func gateCheck(fresh []Measurement, committed *File, tol float64) []string {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_sim.json", "output JSON path ('-' for stdout)")
-	baseline := flag.String("baseline", "", "previous BENCH_sim.json to embed as the 'before' numbers")
+	out := flag.String("out", "BENCH_sim.json", "trajectory to append the record to ('-' for stdout)")
+	baseline := flag.String("baseline", "", "trajectory whose latest record is embedded as the 'before' numbers")
 	quick := flag.Bool("quick", false, "smoke-sized workloads (4x fewer slots)")
 	probe := flag.Bool("probe", false, "also measure each workload with the standard probe bundle attached")
 	mode := flag.String("mode", "both", "which series to run: sequential, batched, or both")
-	gate := flag.String("gate", "", "committed BENCH_sim.json to regression-gate against (exit 1 on regression; skips -out)")
+	gate := flag.String("gate", "", "trajectory whose latest record is the regression floor (exit 1 on regression; skips -out)")
 	gateTol := flag.Float64("gate-tol", 0.10, "fractional slots/s regression tolerated by -gate")
 	pprofOut := flag.String("pprof", "", "profile prefix: writes PREFIX.cpu.pprof and PREFIX.mem.pprof")
 	flag.Parse()
@@ -304,7 +415,7 @@ func main() {
 
 	var before map[string]Measurement
 	if *baseline != "" {
-		f, err := loadFile(*baseline)
+		f, err := latest(*baseline, *quick)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
@@ -314,9 +425,9 @@ func main() {
 			before[m.Name] = m
 		}
 	}
-	var gateFloor *File
+	var gateFloor *Record
 	if *gate != "" {
-		f, err := loadFile(*gate)
+		f, err := latest(*gate, *quick)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
@@ -350,8 +461,9 @@ func main() {
 		}()
 	}
 
-	file := File{
-		Schema:    schemaV2,
+	file := Record{
+		Time:      time.Now().UTC().Format(time.RFC3339),
+		Rev:       gitRev(),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
@@ -395,19 +507,18 @@ func main() {
 		return
 	}
 
-	data, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
 	if *out == "-" {
-		os.Stdout.Write(data)
+		data, err := json.MarshalIndent(file, "", "  ")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bench:", err)
+			os.Exit(1)
+		}
+		os.Stdout.Write(append(data, '\n'))
 		return
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	if err := appendRecord(*out, file); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	fmt.Println("wrote", *out)
+	fmt.Println("appended a record to", *out)
 }

@@ -248,35 +248,85 @@ type RingInit struct {
 // even n. For n = 2 a single Plus copy is emitted, matching the hypercube's
 // single link per dimension.
 func RingInitiations(n int, rng *rand.Rand) []RingInit {
-	first, second, count := ringSplit(n, rng)
-	switch count {
-	case 0:
+	first, second, draw := ringSplit(n)
+	if first < 0 {
 		return nil
-	case 1:
-		return []RingInit{first}
-	default:
-		return []RingInit{first, second}
 	}
+	d1, d2 := splitDirs(draw, rng)
+	if second < 0 {
+		return []RingInit{{Dir: d1, HopsLeft: first}}
+	}
+	return []RingInit{{Dir: d1, HopsLeft: first}, {Dir: d2, HopsLeft: second}}
 }
 
-// ringSplit is the allocation-free core of RingInitiations, used directly
-// by the simulator's hot path.
-func ringSplit(n int, rng *rand.Rand) (first, second RingInit, count int) {
+// ringSplit is the one definition of the ring-broadcast split: the
+// HopsLeft of the first copy (ceil((n-1)/2) nodes) and of the second copy
+// (floor((n-1)/2) nodes), -1 for a copy that is not sent, and whether the
+// two directions are drawn at random (the halves differ, which happens on
+// even rings longer than 2).
+func ringSplit(n int) (first, second int, draw bool) {
 	total := n - 1
 	if total <= 0 {
-		return RingInit{}, RingInit{}, 0
+		return -1, -1, false
 	}
 	a := (total + 1) / 2 // nodes served by the first direction
 	b := total / 2
-	d1, d2 := torus.Plus, torus.Minus
-	if n > 2 && a != b && rng != nil && rng.IntN(2) == 1 {
-		d1, d2 = d2, d1
+	return a - 1, b - 1, n > 2 && a != b
+}
+
+// splitDirs returns the directions of the first and second copy of a ring
+// split: Plus then Minus, swapped by one draw from rng when the split is
+// drawn (a nil rng keeps the deterministic plus-heavy split).
+func splitDirs(draw bool, rng *rand.Rand) (first, second torus.Dir) {
+	if draw && rng != nil && rng.IntN(2) == 1 {
+		return torus.Minus, torus.Plus
 	}
-	first = RingInit{Dir: d1, HopsLeft: a - 1}
-	if b == 0 {
-		return first, RingInit{}, 1
+	return torus.Plus, torus.Minus
+}
+
+// StarStep is one row of a scheme's STAR forwarding table: how a node
+// holding a broadcast copy initiates the ring broadcast of one phase of
+// the rotated dimension order. The simulator fills the table once per run
+// (StarTable), so forwarding a copy reads a row instead of redoing the
+// modulo, the ring split and the class rule per copy.
+type StarStep struct {
+	First  int32 // HopsLeft of the first copy
+	Second int32 // HopsLeft of the second copy; -1 on 2-rings, which send one
+	Dim    int8  // link dimension of the phase: (ending+1+phase) mod d
+	Class  uint8 // priority class of copies on Dim under the scheme's discipline
+	Draw   bool  // the directions are drawn from the RNG (see splitDirs)
+}
+
+// Dirs returns the directions of the phase's first and second copy,
+// drawing from rng when the row says so (see splitDirs).
+func (st *StarStep) Dirs(rng *rand.Rand) (first, second torus.Dir) {
+	return splitDirs(st.Draw, rng)
+}
+
+// StarStep returns the forwarding table row of the given phase of
+// broadcasts with the given ending dimension.
+func (sch *Scheme) StarStep(ending, phase int) StarStep {
+	d := sch.Shape.Dims()
+	dim := orderDim(d, ending, phase)
+	first, second, draw := ringSplit(sch.Shape.Dim(dim))
+	return StarStep{
+		First: int32(first), Second: int32(second),
+		Dim: int8(dim), Class: uint8(sch.BroadcastClass(dim, ending)), Draw: draw,
 	}
-	return first, RingInit{Dir: d2, HopsLeft: b - 1}, 2
+}
+
+// StarTable fills buf (reallocated when too small) with the scheme's whole
+// forwarding table and returns it: Dims()^2 rows, row ending*Dims()+phase
+// being StarStep(ending, phase).
+func (sch *Scheme) StarTable(buf []StarStep) []StarStep {
+	d := sch.Shape.Dims()
+	buf = buf[:0]
+	for ending := 0; ending < d; ending++ {
+		for p := 0; p < d; p++ {
+			buf = append(buf, sch.StarStep(ending, p))
+		}
+	}
+	return buf
 }
 
 // Hop is one broadcast copy to transmit: the ring-broadcast phase it
@@ -290,7 +340,8 @@ type Hop struct {
 }
 
 // BroadcastForward computes the copies a node transmits when it obtains a
-// broadcast packet with the given ending dimension:
+// broadcast packet with the given ending dimension, reading the rows of
+// the scheme's STAR table (StarStep):
 //
 //   - the source calls it with phase = -1 (it initiates every phase);
 //   - a node that received the copy during phase p with h hops remaining
@@ -298,26 +349,18 @@ type Hop struct {
 //     initiates the ring broadcasts of phases p+1, ..., d-1.
 //
 // dir is the direction the copy was travelling in (ignored for the source).
-// The returned hops are appended to buf to avoid allocation in the
-// simulator's hot path.
-func BroadcastForward(s *torus.Shape, ending, phase int, dir torus.Dir, hopsLeft int, rng *rand.Rand, buf []Hop) []Hop {
-	d := s.Dims()
+// The returned hops are appended to buf.
+func BroadcastForward(sch *Scheme, ending, phase int, dir torus.Dir, hopsLeft int, rng *rand.Rand, buf []Hop) []Hop {
 	if phase >= 0 && hopsLeft > 0 {
-		buf = append(buf, Hop{
-			Phase:    phase,
-			Dim:      orderDim(d, ending, phase),
-			Dir:      dir,
-			HopsLeft: hopsLeft - 1,
-		})
+		st := sch.StarStep(ending, phase)
+		buf = append(buf, Hop{Phase: phase, Dim: int(st.Dim), Dir: dir, HopsLeft: hopsLeft - 1})
 	}
-	for q := phase + 1; q < d; q++ {
-		dim := orderDim(d, ending, q)
-		first, second, count := ringSplit(s.Dim(dim), rng)
-		if count >= 1 {
-			buf = append(buf, Hop{Phase: q, Dim: dim, Dir: first.Dir, HopsLeft: first.HopsLeft})
-		}
-		if count == 2 {
-			buf = append(buf, Hop{Phase: q, Dim: dim, Dir: second.Dir, HopsLeft: second.HopsLeft})
+	for q := phase + 1; q < sch.Shape.Dims(); q++ {
+		st := sch.StarStep(ending, q)
+		d1, d2 := st.Dirs(rng)
+		buf = append(buf, Hop{Phase: q, Dim: int(st.Dim), Dir: d1, HopsLeft: int(st.First)})
+		if st.Second >= 0 {
+			buf = append(buf, Hop{Phase: q, Dim: int(st.Dim), Dir: d2, HopsLeft: int(st.Second)})
 		}
 	}
 	return buf
@@ -330,31 +373,45 @@ func orderDim(d, ending, p int) int { return (ending + 1 + p) % d }
 // OrderDim exposes orderDim for tests and visualization tools.
 func OrderDim(d, ending, p int) int { return orderDim(d, ending, p) }
 
+// shortestDir returns the shortest direction for a nonzero ring offset off
+// on a ring of length n, and whether both directions are shortest (off is
+// exactly n/2 on a ring longer than 2), in which case tieBit picks Minus.
+func shortestDir(off, n int, tieBit bool) (dir torus.Dir, tie bool) {
+	switch {
+	case n == 2 || 2*off < n:
+		return torus.Plus, false
+	case 2*off > n:
+		return torus.Minus, false
+	case tieBit:
+		return torus.Minus, true
+	default:
+		return torus.Plus, true
+	}
+}
+
 // UnicastNextHop returns the next link a unicast packet takes from cur
 // toward dest: the first dimension (in index order) whose coordinates
 // differ, traversed in the shorter ring direction. When the offset is
 // exactly n/2 both directions are shortest and the packet's tie mask (bit
 // per dimension, drawn at generation time) decides, keeping opposite links
-// statistically balanced. done is true when cur == dest.
+// statistically balanced. done is true when cur == dest. Coordinates come
+// from the shape's CoordTable, so the rule does no division.
 func UnicastNextHop(s *torus.Shape, cur, dest torus.Node, tieMask uint32) (dim int, dir torus.Dir, done bool) {
-	for i := 0; i < s.Dims(); i++ {
-		off := s.RingOffset(cur, dest, i)
+	coords := s.CoordTable()
+	d := s.Dims()
+	a := coords[int(cur)*d : int(cur)*d+d]
+	b := coords[int(dest)*d : int(dest)*d+d]
+	for i := range a {
+		off := int(b[i] - a[i])
 		if off == 0 {
 			continue
 		}
 		n := s.Dim(i)
-		switch {
-		case n == 2:
-			return i, torus.Plus, false
-		case 2*off < n:
-			return i, torus.Plus, false
-		case 2*off > n:
-			return i, torus.Minus, false
-		case tieMask&(1<<uint(i)) != 0:
-			return i, torus.Minus, false
-		default:
-			return i, torus.Plus, false
+		if off < 0 {
+			off += n
 		}
+		dir, _ := shortestDir(off, n, tieMask&(1<<uint(i)) != 0)
+		return i, dir, false
 	}
 	return 0, torus.Plus, true
 }
@@ -372,31 +429,28 @@ func UnicastNextHopAdaptive(s *torus.Shape, cur, dest torus.Node, tieMask uint32
 	havePref := false
 	var prefDim int
 	var prefDir torus.Dir
-	for i := 0; i < s.Dims(); i++ {
-		off := s.RingOffset(cur, dest, i)
+	coords := s.CoordTable()
+	d := s.Dims()
+	a := coords[int(cur)*d : int(cur)*d+d]
+	b := coords[int(dest)*d : int(dest)*d+d]
+	for i := range a {
+		off := int(b[i] - a[i])
 		if off == 0 {
 			continue
 		}
 		n := s.Dim(i)
-		d := torus.Plus
-		tie := false
-		switch {
-		case n == 2 || 2*off < n:
-		case 2*off > n:
-			d = torus.Minus
-		case tieMask&(1<<uint(i)) != 0:
-			d, tie = torus.Minus, true
-		default:
-			tie = true
+		if off < 0 {
+			off += n
 		}
+		dr, tie := shortestDir(off, n, tieMask&(1<<uint(i)) != 0)
 		if !havePref {
-			havePref, prefDim, prefDir = true, i, d
+			havePref, prefDim, prefDir = true, i, dr
 		}
-		if !down(i, d) {
-			return i, d, true, false
+		if !down(i, dr) {
+			return i, dr, true, false
 		}
-		if tie && !down(i, -d) {
-			return i, -d, true, false
+		if tie && !down(i, -dr) {
+			return i, -dr, true, false
 		}
 	}
 	if !havePref {
@@ -443,7 +497,7 @@ func BroadcastTree(sch *Scheme, source torus.Node, ending int, rng *rand.Rand) [
 	}
 	var frontier []copyState
 	expand := func(at torus.Node, phase, hopsLeft int, dir torus.Dir) {
-		for _, h := range BroadcastForward(s, ending, phase, dir, hopsLeft, rng, nil) {
+		for _, h := range BroadcastForward(sch, ending, phase, dir, hopsLeft, rng, nil) {
 			frontier = append(frontier, copyState{at: at, phase: h.Phase, dir: h.Dir, hopsLeft: h.HopsLeft})
 		}
 	}
@@ -451,8 +505,8 @@ func BroadcastTree(sch *Scheme, source torus.Node, ending int, rng *rand.Rand) [
 	for len(frontier) > 0 {
 		c := frontier[0]
 		frontier = frontier[1:]
-		next := s.Neighbor(c.at, orderDim(s.Dims(), ending, c.phase), c.dir)
 		dim := orderDim(s.Dims(), ending, c.phase)
+		next := s.Neighbor(c.at, dim, c.dir)
 		if tree[next].Parent != torus.Node(-1) {
 			panic(fmt.Sprintf("core: node %d received a second copy (tree not a spanning tree)", next))
 		}

@@ -10,12 +10,15 @@ import (
 )
 
 func BenchmarkBroadcastForwardSource(b *testing.B) {
-	s := torus.MustNew(8, 8, 8)
+	sch, err := DimOrderFCFS(torus.MustNew(8, 8, 8))
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewPCG(1, 2))
 	buf := make([]Hop, 0, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = BroadcastForward(s, i%3, -1, torus.Plus, 0, rng, buf[:0])
+		buf = BroadcastForward(sch, i%3, -1, torus.Plus, 0, rng, buf[:0])
 	}
 }
 

@@ -461,9 +461,9 @@ func TestSampleTieMaskPanicsOnHugeDims(t *testing.T) {
 }
 
 func TestBroadcastForwardSource(t *testing.T) {
-	s := torus.MustNew(5, 5)
+	sch := mustFCFS(t, torus.MustNew(5, 5))
 	// Source (phase -1) initiates both phases: 2 copies per phase.
-	hops := BroadcastForward(s, 1, -1, torus.Plus, 0, nil, nil)
+	hops := BroadcastForward(sch, 1, -1, torus.Plus, 0, nil, nil)
 	if len(hops) != 4 {
 		t.Fatalf("source emits %d copies, want 4", len(hops))
 	}
@@ -481,9 +481,9 @@ func TestBroadcastForwardSource(t *testing.T) {
 }
 
 func TestBroadcastForwardContinuesRing(t *testing.T) {
-	s := torus.MustNew(5, 5)
+	sch := mustFCFS(t, torus.MustNew(5, 5))
 	// A copy in the last phase with hops remaining: exactly one forward.
-	hops := BroadcastForward(s, 1, 1, torus.Minus, 1, nil, nil)
+	hops := BroadcastForward(sch, 1, 1, torus.Minus, 1, nil, nil)
 	if len(hops) != 1 {
 		t.Fatalf("got %d copies, want 1", len(hops))
 	}
@@ -491,16 +491,27 @@ func TestBroadcastForwardContinuesRing(t *testing.T) {
 		t.Errorf("forward = %+v", hops[0])
 	}
 	// A copy with no hops left in the last phase: nothing to do.
-	if hops := BroadcastForward(s, 1, 1, torus.Minus, 0, nil, nil); len(hops) != 0 {
+	if hops := BroadcastForward(sch, 1, 1, torus.Minus, 0, nil, nil); len(hops) != 0 {
 		t.Errorf("exhausted copy should emit nothing, got %v", hops)
 	}
 }
 
 func TestBroadcastForwardAppendsToBuf(t *testing.T) {
-	s := torus.MustNew(4, 4)
+	sch := mustFCFS(t, torus.MustNew(4, 4))
 	buf := make([]Hop, 0, 8)
-	out := BroadcastForward(s, 0, -1, torus.Plus, 0, nil, buf)
+	out := BroadcastForward(sch, 0, -1, torus.Plus, 0, nil, buf)
 	if len(out) == 0 || cap(out) != 8 {
 		t.Error("BroadcastForward should reuse the provided buffer")
 	}
+}
+
+// mustFCFS builds the FCFS dimension-ordered scheme for s; its STAR table
+// covers every ending dimension like any other scheme's.
+func mustFCFS(t *testing.T, s *torus.Shape) *Scheme {
+	t.Helper()
+	sch, err := DimOrderFCFS(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sch
 }

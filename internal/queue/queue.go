@@ -3,6 +3,10 @@
 // head-of-line with lower class numbers first (class 0 is the highest
 // priority). Within a class, service is strictly first-come first-served,
 // which is what the paper's conservation-law argument requires.
+//
+// The network simulator keeps a flat slice of FIFOs, one per (link, class),
+// and applies the head-of-line rule itself; MultiClass packages the same
+// discipline for a single server (internal/mdqueue).
 package queue
 
 import "fmt"
@@ -80,14 +84,21 @@ func (q *FIFO[T]) Pop() (T, bool) {
 // is valid only until the next Push, Reset, or PopRef-followed-by-Push on
 // this queue, and popped slots keep their old contents. It is intended for
 // hot paths moving plain value types; element types holding references
-// should use Pop, which zeroes the slot for the garbage collector.
+// should use Pop, which zeroes the slot for the garbage collector. A queue
+// that empties restarts at slot 0, so a queue that rarely holds more than
+// an element or two keeps reusing the same cache lines instead of cycling
+// through its whole ring.
 func (q *FIFO[T]) PopRef() (*T, bool) {
 	if q.n == 0 {
 		return nil, false
 	}
 	v := &q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
+	if q.n == 0 {
+		q.head = 0
+	} else {
+		q.head = (q.head + 1) & (len(q.buf) - 1)
+	}
 	return v, true
 }
 
@@ -144,13 +155,6 @@ func (m *MultiClass[T]) Push(c int, v T) {
 	m.total++
 }
 
-// PushSlot appends a slot to class c's tail and returns a pointer for the
-// caller to fill in place (see FIFO.PushSlot for the contract).
-func (m *MultiClass[T]) PushSlot(c int) *T {
-	m.total++
-	return m.classes[c].PushSlot()
-}
-
 // Pop dequeues the head of the highest-priority nonempty class, returning
 // the element and its class.
 func (m *MultiClass[T]) Pop() (T, int, bool) {
@@ -162,19 +166,6 @@ func (m *MultiClass[T]) Pop() (T, int, bool) {
 	}
 	var zero T
 	return zero, -1, false
-}
-
-// PopRef is Pop without the copy: it dequeues the head of the
-// highest-priority nonempty class and returns a pointer into that class's
-// backing array. See FIFO.PopRef for the pointer's validity rules.
-func (m *MultiClass[T]) PopRef() (*T, int, bool) {
-	for c := range m.classes {
-		if v, ok := m.classes[c].PopRef(); ok {
-			m.total--
-			return v, c, true
-		}
-	}
-	return nil, -1, false
 }
 
 // Peek returns the element Pop would return, without removing it.

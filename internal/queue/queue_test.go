@@ -340,31 +340,3 @@ func TestFIFORefVariantsMatchValueAPI(t *testing.T) {
 		t.Fatalf("final lengths diverged: ref=%d val=%d model=%d", ref.Len(), val.Len(), len(model))
 	}
 }
-
-// TestMultiClassPushSlotPopRef checks priority order and class bookkeeping
-// through the in-place API, including a PopRef on a fully empty queue.
-func TestMultiClassPushSlotPopRef(t *testing.T) {
-	m := NewMultiClass[string](3)
-	if v, c, ok := m.PopRef(); ok || v != nil || c != -1 {
-		t.Fatalf("PopRef on empty = %v, %d, %v", v, c, ok)
-	}
-	*m.PushSlot(2) = "low"
-	*m.PushSlot(0) = "high"
-	*m.PushSlot(1) = "mid"
-	if m.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", m.Len())
-	}
-	want := []struct {
-		v string
-		c int
-	}{{"high", 0}, {"mid", 1}, {"low", 2}}
-	for i, w := range want {
-		v, c, ok := m.PopRef()
-		if !ok || *v != w.v || c != w.c {
-			t.Fatalf("PopRef %d = %q class %d ok=%v, want %q class %d", i, *v, c, ok, w.v, w.c)
-		}
-	}
-	if m.Len() != 0 {
-		t.Fatalf("Len after draining = %d", m.Len())
-	}
-}

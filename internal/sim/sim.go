@@ -328,32 +328,38 @@ const (
 	kindUnicast
 )
 
-// packet is the in-network representation of one copy. It is kept small
-// and copied by value through the queues.
+// packet is the in-network representation of one copy. It is copied by
+// value into a queue slot on enqueue and into the link's inflight slot on
+// service, so it is kept at 40 bytes (TestPacketLayout guards the size).
 type packet struct {
-	birth    int64
-	enq      int64 // enqueue time at the current output queue
-	task     int64 // broadcast task key (measured tasks only; -1 otherwise)
-	taskIdx  int32 // dense index into engine.tasks (measured broadcasts)
-	dest     torus.Node
+	birth int64
+	enq   int64 // enqueue time at the current output queue
+	// target is the destination node of a unicast packet and the dense
+	// index into engine.tasks of a measured broadcast copy; no packet
+	// needs both.
+	target   int32
 	tieMask  uint32
 	length   int32
+	hopsLeft int16
 	kind     packetKind
 	class    uint8
 	ending   int8
 	phase    int8
 	dir      torus.Dir
-	hopsLeft int16
 	measured bool
 }
 
+// dest returns a unicast packet's destination.
+func (p *packet) dest() torus.Node { return torus.Node(p.target) }
+
 // bcastState tracks one in-flight measured broadcast task. States live in a
-// dense slice indexed by packet.taskIdx; completed slots are recycled
+// dense slice indexed by packet.target; completed slots are recycled
 // through a free list, so steady-state measurement allocates no per-task
-// memory. The task *key* (packet.task, surfaced via DeliverEvent.Task)
-// stays a plain monotone counter and is never recycled.
+// memory. The task key (surfaced via DeliverEvent.Task) stays a plain
+// monotone counter and is never recycled.
 type bcastState struct {
 	birth     int64
+	key       int64
 	remaining int32
 	lost      int32 // copies lost to permanently failed links
 }
@@ -370,12 +376,18 @@ type engine struct {
 	wEnd    int64
 	horizon int64
 
-	queues    []queue.MultiClass[packet]
-	classes   int          // priority classes per queue (for reuse checks)
-	busyUntil []int64      // slot at which each link's transmission completes
-	busySlots []int64      // busy slots within the window, per link
-	linkDst   []torus.Node // shared per-shape table (torus.LinkTables)
-	linkDim   []int32      // shared per-shape table (torus.LinkTables)
+	// queues holds one FIFO per (link, priority class), flat at index
+	// link*classes+class, and qlen[l] counts the packets queued on link l
+	// over all its classes.
+	queues    []queue.FIFO[packet]
+	qlen      []int32
+	classes   int             // priority classes per link
+	busyUntil []int64         // slot at which each link's transmission completes
+	busySlots []int64         // busy slots within the window, per link
+	linkDst   []torus.Node    // shared per-shape table (torus.LinkTables)
+	linkDim   []int32         // shared per-shape table (torus.LinkTables)
+	star      []core.StarStep // the scheme's STAR table (core.Scheme.StarTable)
+	dims      int             // e.s.Dims(), the width of a star table row block
 
 	// inflight[l] is the packet currently transmitting on link l; the
 	// timing wheel stores only link IDs, so a completion event is 4 bytes
@@ -389,7 +401,7 @@ type engine struct {
 	// a packet while idle.
 	ready linkBitmap
 
-	// Dense broadcast-task table indexed by packet.taskIdx; freeTasks
+	// Dense broadcast-task table indexed by packet.target; freeTasks
 	// holds recycled indices, liveTasks counts tasks currently in flight,
 	// and nextTask is the never-recycled key counter.
 	tasks     []bcastState
@@ -398,7 +410,6 @@ type engine struct {
 	nextTask  int64
 
 	backlog int64
-	hopBuf  []core.Hop
 	maxBack int64
 
 	// Backlog sampling for the trend estimate: sums over the first and
@@ -509,6 +520,7 @@ func (r *Runner) Recover() {
 	for i := range e.queues {
 		e.queues[i].Reset()
 	}
+	clear(e.qlen)
 	if e.wheel != nil {
 		for i := range e.wheel {
 			e.wheel[i] = e.wheel[i][:0]
@@ -554,15 +566,14 @@ func (e *engine) reset(cfg Config) error {
 		e.maxBack = 4_000_000
 	}
 
-	if len(e.queues) == slots && e.classes == classes {
-		for l := range e.queues {
-			e.queues[l].Reset()
+	if len(e.queues) == slots*classes && e.classes == classes {
+		for i := range e.queues {
+			e.queues[i].Reset()
 		}
+		clear(e.qlen)
 	} else {
-		e.queues = make([]queue.MultiClass[packet], 0, slots)
-		for i := 0; i < slots; i++ {
-			e.queues = append(e.queues, *queue.NewMultiClass[packet](classes))
-		}
+		e.queues = make([]queue.FIFO[packet], slots*classes)
+		e.qlen = make([]int32, slots)
 		e.classes = classes
 	}
 	if len(e.busyUntil) == slots {
@@ -574,6 +585,7 @@ func (e *engine) reset(cfg Config) error {
 	}
 	e.ready.init(slots, e.arena)
 	e.linkDst, e.linkDim = e.s.LinkTables()
+	e.star, e.dims = e.sch.StarTable(e.star), e.s.Dims()
 	if len(e.inflight) != slots {
 		// No clearing on reuse: an inflight slot is read only when the
 		// wheel holds the link's ID, and the wheel is truncated below.
@@ -782,10 +794,11 @@ func (e *engine) scheduleRecovery(l torus.LinkID, until int64) {
 
 // linkBitmap is a two-level bitmap over the link-slot index space: one bit
 // per link in l0, one bit per nonzero l0 word in l1. It gives O(1)
-// deduplicated marking and an ascending-order sweep whose cost is
-// proportional to the number of marked words, which is what makes the
-// event-driven service pass both cheap and deterministic (links are always
-// visited in ascending LinkID order, matching the historical full scan).
+// deduplicated marking and an ascending-order sweep (in serviceReady)
+// whose cost is proportional to the number of marked words, which is what
+// makes the event-driven service pass both cheap and deterministic (links
+// are always visited in ascending LinkID order, matching the historical
+// full scan).
 type linkBitmap struct {
 	l0 []uint64
 	l1 []uint64
@@ -793,7 +806,7 @@ type linkBitmap struct {
 
 // init sizes the bitmap for the given number of link slots, reusing the
 // previous words when the size matches (they are always left cleared by
-// sweep, but clear defensively so a truncated run cannot leak marks). A
+// serviceReady's sweep, but clear defensively so a truncated run cannot leak marks). A
 // non-nil arena supplies the words from the batch's shared SoA block.
 func (b *linkBitmap) init(slots int, a *batchArena) {
 	w0 := (slots + 63) / 64
@@ -811,27 +824,6 @@ func (b *linkBitmap) set(l torus.LinkID) {
 	w := uint(l) >> 6
 	b.l0[w] |= 1 << (uint(l) & 63)
 	b.l1[w>>6] |= 1 << (w & 63)
-}
-
-// sweep calls fn for every marked link in ascending order, clearing the
-// bitmap as it goes. fn must not mark new links.
-func (b *linkBitmap) sweep(fn func(l torus.LinkID)) {
-	for w1, m1 := range b.l1 {
-		if m1 == 0 {
-			continue
-		}
-		b.l1[w1] = 0
-		for m1 != 0 {
-			w0 := w1<<6 + bits.TrailingZeros64(m1)
-			m1 &= m1 - 1
-			m0 := b.l0[w0]
-			b.l0[w0] = 0
-			for m0 != 0 {
-				fn(torus.LinkID(w0<<6 + bits.TrailingZeros64(m0)))
-				m0 &= m0 - 1
-			}
-		}
-	}
 }
 
 // markReady queues link l for examination by serviceReady this slot. Links
@@ -866,16 +858,17 @@ func (e *engine) deliverArrivals() {
 }
 
 func (e *engine) deliverUnicast(node torus.Node, pkt *packet) {
+	final := node == pkt.dest()
 	if e.cfg.OnDeliver != nil {
 		e.cfg.OnDeliver(DeliverEvent{
 			Slot: e.now, Node: node, Birth: pkt.birth, Task: -1,
-			Broadcast: false, Final: node == pkt.dest,
+			Broadcast: false, Final: final,
 		})
 	}
 	if e.probe != nil {
-		e.probe.Deliver(e.now, node, false, node == pkt.dest, e.now-pkt.birth)
+		e.probe.Deliver(e.now, node, false, final, e.now-pkt.birth)
 	}
-	if node == pkt.dest {
+	if final {
 		if pkt.measured {
 			e.res.Unicast.Add(float64(e.now - pkt.birth))
 			e.res.IncompleteUnicasts--
@@ -891,23 +884,32 @@ func (e *engine) deliverUnicast(node torus.Node, pkt *packet) {
 // the oblivious choice), and when every profitable link is down the packet
 // waits on the preferred one.
 func (e *engine) routeUnicast(node torus.Node, pkt *packet) {
+	var dim int
+	var dir torus.Dir
 	if e.faults == nil {
-		dim, dir, _ := core.UnicastNextHop(e.s, node, pkt.dest, pkt.tieMask)
-		e.enqueue(node, dim, dir, pkt)
-		return
+		dim, dir, _ = core.UnicastNextHop(e.s, node, pkt.dest(), pkt.tieMask)
+	} else {
+		e.adaptCur = node
+		var done bool
+		dim, dir, _, done = core.UnicastNextHopAdaptive(e.s, node, pkt.dest(), pkt.tieMask, e.downFn)
+		if done {
+			return
+		}
 	}
-	e.adaptCur = node
-	dim, dir, _, done := core.UnicastNextHopAdaptive(e.s, node, pkt.dest, pkt.tieMask, e.downFn)
-	if done {
-		return
-	}
-	e.enqueue(node, dim, dir, pkt)
+	l := e.s.Link(node, dim, dir)
+	slot := e.push(l, dim, pkt.class)
+	*slot = *pkt
+	slot.enq = e.now
 }
 
 func (e *engine) deliverBroadcast(node torus.Node, pkt *packet) {
 	if e.cfg.OnDeliver != nil {
+		task := int64(-1)
+		if pkt.measured {
+			task = e.tasks[pkt.target].key
+		}
 		e.cfg.OnDeliver(DeliverEvent{
-			Slot: e.now, Node: node, Birth: pkt.birth, Task: pkt.task,
+			Slot: e.now, Node: node, Birth: pkt.birth, Task: task,
 			Broadcast: true, Final: true,
 		})
 	}
@@ -916,14 +918,13 @@ func (e *engine) deliverBroadcast(node torus.Node, pkt *packet) {
 	}
 	if pkt.measured {
 		e.res.Reception.Add(float64(e.now - pkt.birth))
-		st := &e.tasks[pkt.taskIdx]
+		st := &e.tasks[pkt.target]
 		st.remaining--
 		if st.remaining == 0 {
-			e.finishTask(pkt.taskIdx)
+			e.finishTask(pkt.target)
 		}
 	}
-	e.hopBuf = core.BroadcastForward(e.s, int(pkt.ending), int(pkt.phase), pkt.dir, int(pkt.hopsLeft), e.rng, e.hopBuf[:0])
-	e.forwardHops(node, pkt)
+	e.forward(node, pkt)
 }
 
 // finishTask closes the dense state slot of a measured broadcast task whose
@@ -947,16 +948,16 @@ func (e *engine) finishTask(idx int32) {
 	e.liveTasks--
 }
 
-// dropSubtree accounts for a broadcast copy that would cross the permanently
-// failed link l: the copy and every descendant it would have spawned are
-// lost. The copy covers hopsLeft+1 nodes along its own ring, each of which
-// would have seeded subtrees spanning all later phases of the task's
-// dimension order.
-func (e *engine) dropSubtree(l torus.LinkID, pkt *packet) {
-	lost := int64(pkt.hopsLeft) + 1
-	d := e.s.Dims()
-	for q := int(pkt.phase) + 1; q < d; q++ {
-		lost *= int64(e.s.Dim(core.OrderDim(d, int(pkt.ending), q)))
+// dropSubtree accounts for a copy of broadcast pkt that would cross the
+// permanently failed link l in the given phase with hopsLeft hops to go:
+// the copy and every descendant it would have spawned are lost. The copy
+// covers hopsLeft+1 nodes along its own ring, each of which would have
+// seeded subtrees spanning all later phases of the task's dimension order.
+func (e *engine) dropSubtree(l torus.LinkID, phase int, hopsLeft int32, pkt *packet) {
+	lost := int64(hopsLeft) + 1
+	steps := e.starSteps(pkt.ending)
+	for q := phase + 1; q < len(steps); q++ {
+		lost *= int64(e.s.Dim(int(steps[q].Dim)))
 	}
 	if e.probe != nil {
 		e.probe.Fault(e.now, l, true, lost)
@@ -965,45 +966,76 @@ func (e *engine) dropSubtree(l torus.LinkID, pkt *packet) {
 		return
 	}
 	e.res.LostCopies += lost
-	st := &e.tasks[pkt.taskIdx]
+	st := &e.tasks[pkt.target]
 	st.lost += int32(lost)
 	st.remaining -= int32(lost)
 	if st.remaining == 0 {
-		e.finishTask(pkt.taskIdx)
+		e.finishTask(pkt.target)
 	}
 }
 
-// forwardHops enqueues the hops currently in hopBuf on behalf of pkt.
-func (e *engine) forwardHops(node torus.Node, pkt *packet) {
-	for _, h := range e.hopBuf {
-		next := *pkt
-		next.phase = int8(h.Phase)
-		next.dir = h.Dir
-		next.hopsLeft = int16(h.HopsLeft)
-		next.class = uint8(e.sch.BroadcastClass(h.Dim, int(pkt.ending)))
-		e.enqueue(node, h.Dim, h.Dir, &next)
+// starSteps returns the STAR table rows of broadcasts with the given
+// ending dimension, indexed by phase.
+func (e *engine) starSteps(ending int8) []core.StarStep {
+	lo := int(ending) * e.dims
+	return e.star[lo : lo+e.dims : lo+e.dims]
+}
+
+// forward sends on the copies a node transmits after obtaining broadcast
+// copy pkt (the source passes phase -1): the continuation of pkt's own
+// ring while hops remain, then the ring-broadcast initiations of every
+// later phase, read from the scheme's STAR table (core.StarStep). The
+// copies are those core.BroadcastForward lists, drawn from the RNG and
+// enqueued in the same order.
+func (e *engine) forward(node torus.Node, pkt *packet) {
+	steps := e.starSteps(pkt.ending)
+	phase := int(pkt.phase)
+	if phase >= 0 && pkt.hopsLeft > 0 {
+		e.pushCopy(node, int(steps[phase].Dim), pkt.dir, pkt.class, phase, int32(pkt.hopsLeft)-1, pkt)
+	}
+	for q := phase + 1; q < len(steps); q++ {
+		st := &steps[q]
+		d1, d2 := st.Dirs(e.rng)
+		e.pushCopy(node, int(st.Dim), d1, st.Class, q, st.First, pkt)
+		if st.Second >= 0 {
+			e.pushCopy(node, int(st.Dim), d2, st.Class, q, st.Second, pkt)
+		}
 	}
 }
 
-func (e *engine) enqueue(node torus.Node, dim int, dir torus.Dir, pkt *packet) {
+// pushCopy enqueues one copy of broadcast pkt on node's (dim, dir) link,
+// written straight into its queue slot.
+func (e *engine) pushCopy(node torus.Node, dim int, dir torus.Dir, class uint8, phase int, hopsLeft int32, pkt *packet) {
 	l := e.s.Link(node, dim, dir)
-	if e.faults != nil && pkt.kind == kindBroadcast && e.faults.Permanent(l) {
+	if e.faults != nil && e.faults.Permanent(l) {
 		// A broadcast copy follows a fixed tree; a permanently dead edge
 		// severs its whole subtree. Transient faults merely delay: the
 		// copy queues and waits for the link to heal.
-		e.dropSubtree(l, pkt)
+		e.dropSubtree(l, phase, hopsLeft, pkt)
 		return
 	}
-	slot := e.queues[l].PushSlot(int(pkt.class))
+	slot := e.push(l, dim, class)
 	*slot = *pkt
 	slot.enq = e.now
+	slot.hopsLeft = int16(hopsLeft)
+	slot.class = class
+	slot.phase = int8(phase)
+	slot.dir = dir
+}
+
+// push appends a slot to link l's class queue and returns it for the
+// caller to fill; the slot is valid until the next push.
+func (e *engine) push(l torus.LinkID, dim int, class uint8) *packet {
+	slot := e.queues[int(l)*e.classes+int(class)].PushSlot()
+	e.qlen[l]++
 	e.backlog++
 	if e.probe != nil {
-		e.probe.Enqueue(e.now, l, dim, int(pkt.class), e.queues[l].Len())
+		e.probe.Enqueue(e.now, l, dim, int(class), int(e.qlen[l]))
 	}
 	if e.busyUntil[l] <= e.now {
 		e.markReady(l) // idle link gained work; examine it this slot
 	}
+	return slot
 }
 
 // generate injects this slot's new tasks. Per-node independent Poisson
@@ -1050,7 +1082,8 @@ func (e *engine) generateImpulse(measured bool) {
 // newTask allocates a dense state slot for a measured broadcast task,
 // recycling slots of completed tasks.
 func (e *engine) newTask() int32 {
-	st := bcastState{birth: e.now, remaining: int32(e.s.Size() - 1)}
+	st := bcastState{birth: e.now, key: e.nextTask, remaining: int32(e.s.Size() - 1)}
+	e.nextTask++
 	e.liveTasks++
 	if n := len(e.freeTasks); n > 0 {
 		k := e.freeTasks[n-1]
@@ -1069,20 +1102,17 @@ func (e *engine) spawnBroadcast(src torus.Node, measured bool) {
 	ending := e.sch.SampleEnding(e.rng)
 	pkt := packet{
 		birth:    e.now,
-		task:     -1,
 		length:   int32(e.sampleLength()),
 		kind:     kindBroadcast,
 		ending:   int8(ending),
+		phase:    -1,
 		measured: measured,
 	}
 	if measured {
-		pkt.task = e.nextTask
-		e.nextTask++
-		pkt.taskIdx = e.newTask()
+		pkt.target = e.newTask()
 		e.res.GeneratedBroadcasts++
 	}
-	e.hopBuf = core.BroadcastForward(e.s, ending, -1, torus.Plus, 0, e.rng, e.hopBuf[:0])
-	e.forwardHops(src, &pkt)
+	e.forward(src, &pkt)
 }
 
 func (e *engine) spawnUnicast(src, dest torus.Node, measured bool) {
@@ -1091,8 +1121,7 @@ func (e *engine) spawnUnicast(src, dest torus.Node, measured bool) {
 	}
 	pkt := packet{
 		birth:    e.now,
-		task:     -1,
-		dest:     dest,
+		target:   int32(dest),
 		tieMask:  core.SampleTieMask(e.rng, e.s.Dims()),
 		length:   int32(e.sampleLength()),
 		kind:     kindUnicast,
@@ -1116,51 +1145,75 @@ func (e *engine) sampleLength() int {
 }
 
 // serviceReady starts a new transmission on every ready link with queued
-// packets. The bitmap sweep visits links in ascending LinkID order, which
-// reproduces the exact service order of the historical full scan and keeps
-// same-seed runs bit-identical.
+// packets. The bitmap sweep, written out here so no call is made per link,
+// visits links in ascending LinkID order, which reproduces the exact
+// service order of the historical full scan and keeps same-seed runs
+// bit-identical. Nothing in the loop marks a link ready.
 func (e *engine) serviceReady() {
 	t := e.now
-	e.ready.sweep(func(l torus.LinkID) {
-		q := &e.queues[l]
-		if q.Len() == 0 {
-			return // completion with an empty queue: link simply goes idle
+	inWindow := t >= e.wStart && t < e.wEnd
+	b := &e.ready
+	for w1, m1 := range b.l1 {
+		if m1 == 0 {
+			continue
 		}
-		if e.faults != nil {
-			if down, until := e.faults.DownUntil(l, t); down {
-				// The link is failed this slot: its queue waits. A
-				// transient fault schedules a wake-up for the promised
-				// recovery slot; a permanent one (until < 0) never heals,
-				// so the queue is abandoned (adaptive unicast avoids such
-				// links unless no profitable alternative exists).
+		b.l1[w1] = 0
+		for m1 != 0 {
+			w0 := w1<<6 + bits.TrailingZeros64(m1)
+			m1 &= m1 - 1
+			m0 := b.l0[w0]
+			b.l0[w0] = 0
+			for ; m0 != 0; m0 &= m0 - 1 {
+				l := torus.LinkID(w0<<6 + bits.TrailingZeros64(m0))
+				if e.qlen[l] == 0 {
+					continue // completion with an empty queue: link simply goes idle
+				}
+				if e.faults != nil {
+					if down, until := e.faults.DownUntil(l, t); down {
+						// The link is failed this slot: its queue waits. A
+						// transient fault schedules a wake-up for the
+						// promised recovery slot; a permanent one (until <
+						// 0) never heals, so the queue is abandoned
+						// (adaptive unicast avoids such links unless no
+						// profitable alternative exists).
+						if e.probe != nil {
+							e.probe.Fault(t, l, until < 0, 0)
+						}
+						if until >= 0 {
+							e.scheduleRecovery(l, until)
+						}
+						continue
+					}
+				}
+				// Head-of-line priority: the lowest nonempty class wins.
+				class := 0
+				q := &e.queues[int(l)*e.classes]
+				for q.Len() == 0 {
+					class++
+					q = &e.queues[int(l)*e.classes+class]
+				}
+				pkt, _ := q.PopRef()
+				e.qlen[l]--
+				e.backlog--
+				if inWindow {
+					e.res.QueueWait[class].Add(float64(t - pkt.enq))
+				}
 				if e.probe != nil {
-					e.probe.Fault(t, l, until < 0, 0)
+					e.probe.Service(t, l, int(e.linkDim[l]), class, pkt.length, t-pkt.enq)
 				}
-				if until >= 0 {
-					e.scheduleRecovery(l, until)
-				}
-				return
+				length := int64(pkt.length)
+				e.busyUntil[l] = t + length
+				e.busySlots[l] += overlap(t, t+length, e.wStart, e.wEnd)
+				// The packet rides in the link's inflight slot until
+				// completion; the wheel carries only the link ID. pkt
+				// points into the queue's ring buffer and stays valid:
+				// nothing can push to this queue before the copy below.
+				e.inflight[l] = *pkt
+				at := (t + length) & wheelMask
+				e.wheel[at] = append(e.wheel[at], l)
 			}
 		}
-		pkt, class, _ := q.PopRef()
-		e.backlog--
-		if t >= e.wStart && t < e.wEnd {
-			e.res.QueueWait[class].Add(float64(t - pkt.enq))
-		}
-		if e.probe != nil {
-			e.probe.Service(t, l, int(e.linkDim[l]), class, pkt.length, t-pkt.enq)
-		}
-		length := int64(pkt.length)
-		e.busyUntil[l] = t + length
-		e.busySlots[l] += overlap(t, t+length, e.wStart, e.wEnd)
-		// The packet rides in the link's inflight slot until completion;
-		// the wheel carries only the link ID. pkt points into the queue's
-		// ring buffer and stays valid: nothing can Push to this queue
-		// before the copy below.
-		e.inflight[l] = *pkt
-		at := (t + length) & wheelMask
-		e.wheel[at] = append(e.wheel[at], l)
-	})
+	}
 }
 
 // overlap returns the length of [a,b) ∩ [lo,hi).

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Node identifies a torus node by its dense mixed-radix index.
@@ -62,6 +63,11 @@ type Shape struct {
 	linkOnce   sync.Once
 	linkDstTab []Node
 	linkDimTab []int32
+
+	// Lazily built coordinate table (see CoordTable). An atomic pointer
+	// instead of a second sync.Once keeps Shape in the allocation size
+	// class it had before the table; planning a sweep builds many shapes.
+	coordTab atomic.Pointer[[]int32]
 }
 
 // New constructs a torus shape from the per-dimension lengths. Every
@@ -169,6 +175,30 @@ func (s *Shape) String() string {
 // Coord returns the coordinate of node u along dimension i.
 func (s *Shape) Coord(u Node, i int) int {
 	return int(u) / s.strides[i] % s.dims[i]
+}
+
+// CoordTable returns a dense table of node coordinates: entry u*Dims()+i
+// is Coord(u, i). Like LinkTables it is built on first use and shared by
+// every caller, so hot loops (the unicast next-hop rule runs
+// once per packet hop) read coordinates instead of paying Coord's
+// division chain. Callers must treat the returned slice as read-only.
+func (s *Shape) CoordTable() []int32 {
+	if tab := s.coordTab.Load(); tab != nil {
+		return *tab
+	}
+	// Concurrent first callers may each build the table; they build the
+	// same one and the first to publish wins.
+	d := len(s.dims)
+	tab := make([]int32, s.size*d)
+	for u := 0; u < s.size; u++ {
+		rem := u
+		for i, n := range s.dims {
+			tab[u*d+i] = int32(rem % n)
+			rem /= n
+		}
+	}
+	s.coordTab.CompareAndSwap(nil, &tab)
+	return *s.coordTab.Load()
 }
 
 // Coords decodes all coordinates of u into buf (reused if large enough).

@@ -498,3 +498,43 @@ func TestLinkTablesConcurrent(t *testing.T) {
 		}
 	}
 }
+
+func TestCoordTableMatchesCoord(t *testing.T) {
+	for _, s := range []*Shape{MustNew(4, 5), MustNew(2, 3, 4), MustNew(2, 2, 2), MustNew(7)} {
+		tab := s.CoordTable()
+		d := s.Dims()
+		if len(tab) != s.Size()*d {
+			t.Fatalf("%v: table size %d, want %d", s, len(tab), s.Size()*d)
+		}
+		for u := Node(0); int(u) < s.Size(); u++ {
+			for i := 0; i < d; i++ {
+				if got := int(tab[int(u)*d+i]); got != s.Coord(u, i) {
+					t.Fatalf("%v node %d dim %d: table %d, Coord %d", s, u, i, got, s.Coord(u, i))
+				}
+			}
+		}
+		// The table is built once and shared.
+		if tab2 := s.CoordTable(); &tab2[0] != &tab[0] {
+			t.Fatalf("%v: CoordTable rebuilt instead of cached", s)
+		}
+	}
+}
+
+func TestCoordTableConcurrent(t *testing.T) {
+	s := MustNew(6, 7)
+	var wg sync.WaitGroup
+	tables := make([][]int32, 8)
+	for i := range tables {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tables[i] = s.CoordTable()
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < len(tables); i++ {
+		if &tables[i][0] != &tables[0][0] {
+			t.Fatal("concurrent CoordTable calls returned different tables")
+		}
+	}
+}
