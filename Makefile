@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help check build vet test race chaos chaos-cluster chaos-net lint loc smoke-faults smoke-serve smoke-approx load load-smoke load-gate fuzz bench bench-json bench-gate cover figures figures-quick report examples clean
+.PHONY: all help check build vet test race flake chaos chaos-cluster chaos-net lint loc smoke-faults smoke-serve smoke-approx load load-smoke load-gate fuzz bench bench-json bench-gate cover figures figures-quick report examples clean
 
 all: build vet test race
 
@@ -8,13 +8,14 @@ all: build vet test race
 # sweep proving the robustness path stays wired end to end, a daemon smoke
 # proving submit/cache/drain work over a real socket, the chaos suite
 # proving crash recovery (SIGKILL + torn journals) under the race detector,
-# and the service-level load smoke (200 concurrent clients against a live
-# daemon, also under -race). BENCH_GATE=1 additionally reruns the short
+# the service-level load smoke (200 concurrent clients against a live
+# daemon, also under -race), and the flake gate (visibility-ordering tests
+# repeated). BENCH_GATE=1 additionally reruns the short
 # engine bench and fails on a slots/s regression against the committed
 # BENCH_sim.json; LOAD_GATE=1 does the same for service latency/throughput
 # against BENCH_serve.json (both off by default so the gate never flakes a
 # loaded box).
-check: vet build test smoke-faults smoke-serve smoke-approx chaos chaos-cluster chaos-net load-smoke
+check: vet build test smoke-faults smoke-serve smoke-approx chaos chaos-cluster chaos-net load-smoke flake
 ifneq ($(BENCH_GATE),)
 check: bench-gate
 endif
@@ -30,6 +31,8 @@ help:
 	@echo "  vet           go vet ./..."
 	@echo "  test          go test ./..."
 	@echo "  race          race detector over the shared-state packages"
+	@echo "  flake         serve approx + terminal-visibility tests, -count=100,"
+	@echo "                on one P and on the default Ps"
 	@echo "  chaos         crash-recovery suite under -race: WAL replay, torn"
 	@echo "                journals, quarantine, client retries, SIGKILL+restart"
 	@echo "  chaos-cluster fleet chaos under -race: scatter/gather byte-identity,"
@@ -69,6 +72,17 @@ help:
 # worker pool, cache, and journals).
 race:
 	$(GO) test -race ./internal/sim ./internal/queue ./internal/torus ./internal/sweep ./internal/obs ./internal/fault ./internal/serve ./internal/journal ./internal/loadgen ./internal/cluster ./internal/chaosnet ./internal/surrogate ./internal/forecast
+
+# The flake gate: the serve tests that read counters, the surrogate index
+# and the WAL the moment a job's terminal event arrives, repeated 100 times.
+# They pass only if a terminal state is journaled, indexed and counted
+# before it is published. On one P (the busy-box case) the scheduler rarely
+# interleaves the publish with the steps after it, so the same tests run a
+# second time on the default Ps, where the test failed in 88 of 200 runs
+# against a daemon that published first.
+flake:
+	GOMAXPROCS=1 $(GO) test -count=100 -run 'TestApprox|TestTerminalEventVisible' ./internal/serve
+	$(GO) test -count=100 -run 'TestApprox|TestTerminalEventVisible' ./internal/serve
 
 # The chaos harness under the race detector: lenient journal loading, WAL
 # replay and quarantine, client retry/backoff, and the subprocess suite

@@ -45,8 +45,10 @@ import (
 )
 
 // workload is one benchmark: a topology and operating point, simulated for
-// a fixed number of slots per iteration. Reps > 0 marks a batched workload:
-// each iteration runs Reps replications through one SimulateBatch call.
+// at most Warmup+Measure+Drain slots per iteration (a run ends once its
+// measured work is done, so slots/s counts the slots each run reports as
+// simulated). Reps > 0 marks a batched workload: each iteration runs Reps
+// replications through one SimulateBatch call.
 type workload struct {
 	Name string
 	Dims []int
@@ -56,16 +58,6 @@ type workload struct {
 	Reps int     // 0 = one sequential replication per iteration
 
 	Warmup, Measure, Drain int64
-}
-
-func (w workload) slots() int64 { return w.Warmup + w.Measure + w.Drain }
-
-// reps returns the replications per iteration (1 for sequential workloads).
-func (w workload) reps() int {
-	if w.Reps > 0 {
-		return w.Reps
-	}
-	return 1
 }
 
 // workloads mirrors the figure benchmarks of bench_test.go, plus the
@@ -114,7 +106,10 @@ func workloads(quick bool, mode string) []workload {
 	}
 }
 
-// Measurement is one benchmark's recorded numbers.
+// Measurement is one benchmark's recorded numbers. SlotsPerSec and
+// SlotsPerIter count the slots the runs actually simulated (sim.Result.Slots),
+// not the configured horizon: a run that finishes its measured work early is
+// not credited with slots it never ran.
 type Measurement struct {
 	Name         string  `json:"name"`
 	Mode         string  `json:"mode,omitempty"` // "sequential" | "batched" (v2)
@@ -127,8 +122,9 @@ type Measurement struct {
 	SlotsPerIter int64   `json:"slots_per_iter"`
 	// AggregateSlotsPerSec is total simulated slots per wall-clock second
 	// summed over every replication an iteration advances: for a batched
-	// workload this is Reps * slots / time, the sweep-facing throughput;
-	// for a sequential one it equals SlotsPerSec. (v2)
+	// workload this is the Reps replications' slots over time, the
+	// sweep-facing throughput; for a sequential one it equals SlotsPerSec.
+	// (v2)
 	AggregateSlotsPerSec float64 `json:"aggregate_slots_per_sec,omitempty"`
 
 	// Before/after comparison, present only when -baseline matched.
@@ -296,10 +292,14 @@ func run(w workload, probe bool) (Measurement, error) {
 	// (final) round runs on warm engines — the same steady state the
 	// sequential path gets from the package-level runner pool.
 	var br prioritystar.SimBatchRunner
-	measure := func(attach bool) (testing.BenchmarkResult, error) {
+	// measure returns the benchmark result and the slots simulated in its
+	// final (reported) round.
+	measure := func(attach bool) (testing.BenchmarkResult, int64, error) {
 		var benchErr error
+		var slots int64
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
+			slots = 0 // every sizing round starts over; the last one is reported
 			if w.Reps > 0 {
 				// Batched: each iteration advances Reps replications
 				// through one SimulateBatch call, reusing the runner's
@@ -319,6 +319,7 @@ func run(w workload, probe bool) (Measurement, error) {
 							benchErr = rr.Err
 							b.FailNow()
 						}
+						slots += rr.Result.Slots
 					}
 				}
 				return
@@ -329,44 +330,43 @@ func run(w workload, probe bool) (Measurement, error) {
 				if attach {
 					cfg.Probe = prioritystar.NewStandardProbes(shape, w.Warmup, w.Measure)
 				}
-				if _, err := prioritystar.Simulate(cfg); err != nil {
+				res, err := prioritystar.Simulate(cfg)
+				if err != nil {
 					benchErr = err
 					b.FailNow()
 				}
+				slots += res.Slots
 			}
 		})
-		return r, benchErr
+		return r, slots, benchErr
 	}
-	r, err := measure(false)
+	r, slots, err := measure(false)
 	if err != nil {
 		return Measurement{}, err
 	}
-	aggSlots := float64(w.slots()) * float64(w.reps())
+	// The headline slots/s is the aggregate in both modes: simulated slots
+	// over every replication (one for a sequential workload) per second.
 	m := Measurement{
 		Name:                 w.Name,
 		Mode:                 "sequential",
-		Reps:                 w.reps(),
+		Reps:                 max(w.Reps, 1),
 		Iterations:           r.N,
 		NsPerOp:              float64(r.T.Nanoseconds()) / float64(r.N),
 		BytesPerOp:           r.AllocedBytesPerOp(),
 		AllocsPerOp:          r.AllocsPerOp(),
-		SlotsPerSec:          float64(w.slots()) * float64(r.N) / r.T.Seconds(),
-		SlotsPerIter:         w.slots(),
-		AggregateSlotsPerSec: aggSlots * float64(r.N) / r.T.Seconds(),
+		SlotsPerSec:          float64(slots) / r.T.Seconds(),
+		SlotsPerIter:         slots / int64(r.N),
+		AggregateSlotsPerSec: float64(slots) / r.T.Seconds(),
 	}
 	if w.Reps > 0 {
 		m.Mode = "batched"
-		// For a batched workload the headline slots/s is the aggregate:
-		// total simulated slots across all replications per wall second.
-		m.SlotsPerSec = m.AggregateSlotsPerSec
-		m.SlotsPerIter = w.slots() * int64(w.Reps)
 	}
 	if probe && w.Reps == 0 {
-		pr, err := measure(true)
+		pr, prSlots, err := measure(true)
 		if err != nil {
 			return Measurement{}, err
 		}
-		m.ProbeSlotsPerSec = float64(w.slots()) * float64(pr.N) / pr.T.Seconds()
+		m.ProbeSlotsPerSec = float64(prSlots) / pr.T.Seconds()
 		m.ProbeOverhead = (m.SlotsPerSec - m.ProbeSlotsPerSec) / m.SlotsPerSec
 	}
 	return m, nil

@@ -41,7 +41,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "RNG seed")
 		warmup  = flag.Int64("warmup", 1000, "warm-up slots")
 		measure = flag.Int64("measure", 5000, "measurement slots")
-		drain   = flag.Int64("drain", 2000, "drain slots")
+		drain   = flag.Int64("drain", 2000, "maximum drain slots (a run ends once its measured tasks finish)")
 	)
 	flag.Parse()
 

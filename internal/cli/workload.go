@@ -39,7 +39,7 @@ func (w *Workload) Register(fs *flag.FlagSet) {
 	fs.Uint64Var(&w.Seed, "seed", 1, "base RNG seed")
 	fs.Int64Var(&w.Warmup, "warmup", 3000, "warm-up slots")
 	fs.Int64Var(&w.Measure, "measure", 10000, "measurement slots")
-	fs.Int64Var(&w.Drain, "drain", 4000, "drain slots")
+	fs.Int64Var(&w.Drain, "drain", 4000, "maximum drain slots (a run ends once its measured tasks finish)")
 	fs.IntVar(&w.Reps, "reps", 3, "replications per sweep point")
 	fs.BoolVar(&w.Floor, "floor", false, "use the paper's floor(n/4) distance model")
 	fs.StringVar(&w.Exec, "exec", "batched", "replication dispatch: batched or sequential (bit-identical results)")

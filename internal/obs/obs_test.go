@@ -39,14 +39,15 @@ func instrumentedRun(t *testing.T, dims []int, rho, frac float64, seed uint64,
 
 // TestCountersConsistency: the event stream must be internally consistent —
 // every service follows an enqueue, every delivery follows a service, and
-// the slot count equals the simulated horizon.
+// the slot count equals the slots the run simulated, which end before the
+// horizon once the measured work is done.
 func TestCountersConsistency(t *testing.T) {
 	c := &obs.Counters{}
 	warmup, measure, drain := int64(200), int64(1500), int64(500)
 	res, _ := instrumentedRun(t, []int{4, 8}, 0.7, 0.6, 5, warmup, measure, drain, c)
 
-	if c.Slots != warmup+measure+drain {
-		t.Errorf("slots %d, horizon %d", c.Slots, warmup+measure+drain)
+	if c.Slots != res.Slots || res.Slots >= warmup+measure+drain {
+		t.Errorf("probe saw %d slots, run simulated %d, horizon %d", c.Slots, res.Slots, warmup+measure+drain)
 	}
 	if c.Enqueues == 0 || c.Services == 0 || c.Delivers == 0 || c.Spawns == 0 {
 		t.Fatalf("empty counters: %+v", c)

@@ -84,8 +84,16 @@ func TestSSEWatchSurvivesIdleTimeout(t *testing.T) {
 	c := NewClient("http://" + addr)
 	ctx := context.Background()
 
-	// A job long enough that the watch stream is open well past IdleTimeout.
-	st, err := c.SubmitJSON(ctx, mediumSpec(41))
+	// A job long enough that the watch stream is open well past IdleTimeout:
+	// three times mediumSpec's measurement window, since mediumSpec alone
+	// now finishes in about 250ms on one worker.
+	st, err := c.SubmitJSON(ctx, []byte(`{
+		"id": "t-idle", "dims": [8, 8], "rhos": [0.3],
+		"broadcastFrac": 1,
+		"schemes": [{"name": "priority-star"}],
+		"warmup": 100, "measure": 60000, "drain": 100,
+		"reps": 4, "seed": 41
+	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func TestSSEWatchSurvivesIdleTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 300*time.Millisecond {
 		// The stream must actually have outlived the timeouts for the pin
-		// to mean anything; mediumSpec takes well over 300ms on one worker.
+		// to mean anything; the job above takes well over 300ms on one worker.
 		t.Fatalf("stream only lived %v — too short to exercise IdleTimeout", elapsed)
 	}
 }

@@ -71,8 +71,10 @@ type JobStatus struct {
 	// ResumedReps counts replications replayed from the checkpoint journal
 	// instead of re-simulated, on the attempt that finished the job.
 	ResumedReps int `json:"resumedReps,omitempty"`
-	// SlotsPerSec is the executed job's simulation throughput (total
-	// simulated slots across replications over wall-clock run time).
+	// SlotsPerSec is an upper bound on the executed job's simulation
+	// throughput: configured slots (Warmup+Measure+Drain per replication)
+	// over wall-clock run time. Runs end once their measured work is done,
+	// so fewer slots may actually have been simulated.
 	SlotsPerSec float64 `json:"slotsPerSec,omitempty"`
 	Partial     bool    `json:"partial,omitempty"`
 	Error       string  `json:"error,omitempty"`
@@ -650,6 +652,8 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 			if cerr := m.cache.put(j.fingerprint, body); cerr != nil {
 				m.logf("serve: persisting result %s: %v", j.fingerprint, cerr)
 			}
+			// An upper bound: runs end once their measured work is done
+			// (sim.Config.Drain), so fewer slots may have been simulated.
 			totalSlots := (exp.Warmup + exp.Measure + exp.Drain) *
 				int64(len(exp.Schemes)*len(exp.Rhos)*exp.Reps)
 			sps := float64(totalSlots) / elapsed.Seconds()
@@ -664,22 +668,23 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 			j.mu.Lock()
 			j.result = body
 			j.mu.Unlock()
-			j.update(func(s *JobStatus) {
+			finished := now()
+			m.terminate(j, func(s *JobStatus) {
 				s.State = StateDone
 				s.SlotsPerSec = sps
 				s.Partial = partial
 				s.ResumedReps = res.ResumedReps
 				s.Error = ""
-				s.FinishedAt = now()
+				s.FinishedAt = finished
+			}, func() {
+				// The fresh exact result becomes interpolation anchors
+				// for future approx submissions in its family.
+				m.ix.AddExact(res)
+				m.cfg.Metrics.Add("sim_runs", 1)
+				m.cfg.Metrics.Add("jobs_done", 1)
+				m.cfg.Metrics.Add("slots_simulated", totalSlots)
+				m.cfg.Metrics.Set("last_job_slots_per_sec", sps)
 			})
-			m.walTerminal(j)
-			// The fresh exact result becomes interpolation anchors for
-			// future approx submissions in its family.
-			m.ix.AddExact(res)
-			m.cfg.Metrics.Add("sim_runs", 1)
-			m.cfg.Metrics.Add("jobs_done", 1)
-			m.cfg.Metrics.Add("slots_simulated", totalSlots)
-			m.cfg.Metrics.Set("last_job_slots_per_sec", sps)
 			if p := exp.Checkpoint; p != "" {
 				os.Remove(p) // the cache owns the result now
 			}
@@ -690,30 +695,18 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.update(func(s *JobStatus) {
-			s.State = StateCanceled
-			s.Error = err.Error()
-			s.FinishedAt = now()
+		m.terminate(j, endState(StateCanceled, err), func() {
+			m.cfg.Metrics.Add("jobs_canceled", 1)
 		})
-		m.walTerminal(j)
-		m.cfg.Metrics.Add("jobs_canceled", 1)
 		return attemptTerminal
 	case j.attempt >= m.maxAttempts():
-		state := StateFailed // no retry budget configured: plain failure
+		state, counter := StateFailed, "jobs_failed" // no retry budget configured
 		if m.cfg.RetryBudget > 0 {
-			state = StateQuarantined
+			state, counter = StateQuarantined, "jobs_quarantined"
 		}
-		j.update(func(s *JobStatus) {
-			s.State = state
-			s.Error = err.Error()
-			s.FinishedAt = now()
+		m.terminate(j, endState(state, err), func() {
+			m.cfg.Metrics.Add(counter, 1)
 		})
-		m.walTerminal(j)
-		if state == StateQuarantined {
-			m.cfg.Metrics.Add("jobs_quarantined", 1)
-		} else {
-			m.cfg.Metrics.Add("jobs_failed", 1)
-		}
 		return attemptTerminal
 	default:
 		// Budget remains: back to queued (error visible) and let run()
@@ -733,13 +726,44 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 	}
 }
 
+// endState returns the status mutation of a job ending in state with err.
+// The finish time is taken once, here, so the journaled and the published
+// status carry the same timestamp.
+func endState(state string, err error) func(*JobStatus) {
+	finished := now()
+	return func(s *JobStatus) {
+		s.State = state
+		s.Error = err.Error()
+		s.FinishedAt = finished
+	}
+}
+
+// terminate moves a running job to its terminal status, durable and
+// accounted before it is visible: the WAL record is written from the
+// computed status first, then account runs (index updates, counters), and
+// only then does the status reach pollers and SSE watchers. A client that
+// sees the terminal event can therefore rely on the journal, the surrogate
+// index and every counter already reflecting the job. set must be
+// deterministic: it is applied once to compute the journaled status and
+// once to publish it. Only the job's worker moves a running job to a
+// terminal state, so the two applications agree on every journaled field.
+func (m *manager) terminate(j *job, set func(*JobStatus), account func()) {
+	st := j.snapshot()
+	set(&st)
+	m.walStatus(j, st)
+	account()
+	j.update(set)
+}
+
 // walTerminal journals a job's terminal transition (no-op for cache-hit
 // pseudo-jobs, which were never journaled as accepted).
-func (m *manager) walTerminal(j *job) {
+func (m *manager) walTerminal(j *job) { m.walStatus(j, j.snapshot()) }
+
+// walStatus journals st as j's terminal transition.
+func (m *manager) walStatus(j *job, st JobStatus) {
 	if m.wal == nil || j.exp == nil {
 		return
 	}
-	st := j.snapshot()
 	if err := m.wal.append(walRecord{
 		Op: st.State, ID: j.id, Attempt: st.Attempt,
 		Error: st.Error, Time: st.FinishedAt,

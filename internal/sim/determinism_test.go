@@ -180,8 +180,12 @@ func TestRunnerReuseWithProbes(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("case %d: probed reused runner diverged:\n got %+v\nwant %+v", i, got, want)
 		}
-		if cnt.Slots != cfg.Warmup+cfg.Measure+cfg.Drain {
-			t.Errorf("case %d: probe saw %d slots", i, cnt.Slots)
+		// Every case finishes its measured work before the horizon, so the
+		// probe must see exactly the slots the run reports, and fewer than
+		// the horizon.
+		if cnt.Slots != got.Slots || got.Slots >= cfg.Warmup+cfg.Measure+cfg.Drain {
+			t.Errorf("case %d: probe saw %d slots, run reports %d, horizon %d",
+				i, cnt.Slots, got.Slots, cfg.Warmup+cfg.Measure+cfg.Drain)
 		}
 		if prev != nil && prev.Slots != prevSlots {
 			t.Errorf("case %d: earlier run's probe mutated after its run ended", i)

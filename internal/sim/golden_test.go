@@ -26,7 +26,10 @@ func goldenFingerprint(r *Result) string {
 // goldenCases are fingerprints captured from the engine BEFORE fault
 // injection and runtime guards existed (commit 023e8d3). They pin the
 // contract that a run with an empty fault schedule and zero-value guards is
-// bit-identical to the historical engine.
+// bit-identical to the historical engine. The one exception is mb
+// (MaxBacklog), which covers only the slots actually run since runs end
+// once their measured work is done: cases 1-3 end early and were re-pinned
+// from 60, 985 and 211; every other field is the historical value verbatim.
 func goldenCases(t *testing.T) []struct {
 	cfg  Config
 	want string
@@ -39,11 +42,11 @@ func goldenCases(t *testing.T) []struct {
 		{detCase(t, []int{8, 8}, 0.8, 1, core.TwoLevel, 1, 101),
 			"rcp=162981/6.971505881053673 bc=2587/16.260146888287615 uni=0/0 q0=0.023590365430193442 q1=1.367210300429183 q2=0 gb=2587 gu=0 ib=0 iu=0 be=276 mb=567 du=[0.818203125 0.78109375]"},
 		{detCase(t, []int{4, 5}, 0.5, 0.7, core.FCFS, 1, 102),
-			"rcp=22667/3.3959500595579524 bc=1193/6.338642078792961 uni=4150/3.4672289156626563 q0=0.42793029805936383 q1=0 q2=0 gb=1193 gu=4150 ib=0 iu=0 be=10 mb=60 du=[0.506125 0.50353125]"},
+			"rcp=22667/3.3959500595579524 bc=1193/6.338642078792961 uni=4150/3.4672289156626563 q0=0.42793029805936383 q1=0 q2=0 gb=1193 gu=4150 ib=0 iu=0 be=10 mb=59 du=[0.506125 0.50353125]"},
 		{detCase(t, []int{4, 4, 8}, 0.6, 0.5, core.ThreeLevel, 4, 103),
-			"rcp=43561/28.685062326393 bc=343/94.69387755102045 uni=11395/32.677226853883376 q0=2.243608297153889 q1=4.015062058265807 q2=6.814846546923211 gb=343 gu=11395 ib=0 iu=0 be=563 mb=985 du=[0.5650048828125 0.5576416015625 0.5786962890625]"},
+			"rcp=43561/28.685062326393 bc=343/94.69387755102045 uni=11395/32.677226853883376 q0=2.243608297153889 q1=4.015062058265807 q2=6.814846546923211 gb=343 gu=11395 ib=0 iu=0 be=563 mb=961 du=[0.5650048828125 0.5576416015625 0.5786962890625]"},
 		{detCase(t, []int{2, 2, 2, 2}, 0.7, 1, core.TwoLevel, 2, 104),
-			"rcp=17895/9.57004749930152 bc=1193/22.90360435875943 uni=0/0 q0=1.366875300914781 q1=5.451428571428566 q2=0 gb=1193 gu=0 ib=0 iu=0 be=104 mb=211 du=[0.73046875 0.718125 0.703125 0.686640625]"},
+			"rcp=17895/9.57004749930152 bc=1193/22.90360435875943 uni=0/0 q0=1.366875300914781 q1=5.451428571428566 q2=0 gb=1193 gu=0 ib=0 iu=0 be=104 mb=192 du=[0.73046875 0.718125 0.703125 0.686640625]"},
 	}
 }
 

@@ -14,8 +14,9 @@
 //     by a core.Scheme (STAR trees, priority classes, shortest paths).
 //
 // Statistics are collected for tasks born inside the measurement window
-// [Warmup, Warmup+Measure); the simulation then runs Drain additional slots
-// so most measured tasks can complete, and reports how many did not.
+// [Warmup, Warmup+Measure); the simulation then runs up to Drain additional
+// slots so most measured tasks can complete, ending as soon as the last one
+// has, and reports how many did not.
 //
 // The engine is event-driven: a link is examined only when its in-flight
 // transmission completes or when a packet is enqueued on it while it is
@@ -49,11 +50,17 @@ import (
 )
 
 // EngineVersion names the simulation semantics: any change that alters the
-// trajectory or the measured statistics of a fixed (config, seed) pair must
-// bump it. It is folded into spec.Fingerprint, so bumping it invalidates
-// the daemon's content-addressed result cache and old checkpoint journals
-// instead of letting stale results masquerade as current ones.
-const EngineVersion = "prioritystar-sim/1"
+// trajectory or the statistics of a fixed (config, seed) pair must bump it.
+// It is folded into spec.Fingerprint, so bumping it invalidates the
+// daemon's content-addressed result cache, old checkpoint journals and
+// fleet leases instead of letting stale results masquerade as current ones.
+//
+// Version 2 ends a run once its measured work is done (see Config.Drain):
+// every measured statistic is version 1's bit for bit, but MaxBacklog,
+// ClampedLengths and probe streams cover only the slots actually run, and a
+// brake (MaxBacklog, the watchdog, a timeout) that would have fired only
+// after the measured work was done no longer fires (Status stays StatusOK).
+const EngineVersion = "prioritystar-sim/2"
 
 // wheelSize is the timing-wheel span; packet service times are clamped to
 // wheelSize-1 slots (Result.ClampedLengths counts occurrences, which are
@@ -74,7 +81,14 @@ type Config struct {
 
 	Warmup  int64 // slots before the measurement window
 	Measure int64 // slots in the measurement window (required, > 0)
-	Drain   int64 // slots after the window for measured tasks to finish
+	// Drain is the maximum number of slots run after the window for
+	// measured tasks to finish. The run ends at the end of the first slot
+	// at or after the window's last at which no measured broadcast task is
+	// in flight and every measured unicast has been delivered: later slots
+	// could not change any measured statistic. A run that still holds
+	// measured work runs all Drain slots (Result.Slots reports how many
+	// slots ran).
+	Drain int64
 
 	// MaxBacklog aborts the run early when the total number of queued
 	// packets exceeds it, which happens only for unstable operating points
@@ -189,7 +203,7 @@ type Status uint8
 
 // Run statuses.
 const (
-	// StatusOK: the run completed its full horizon.
+	// StatusOK: the run finished its measured work or reached its horizon.
 	StatusOK Status = iota
 	// StatusTruncated: the backlog exceeded Config.MaxBacklog.
 	StatusTruncated
@@ -282,7 +296,10 @@ type Result struct {
 	BacklogStart int64   // queued packets when the window opened
 	BacklogEnd   int64   // queued packets when the window closed
 	BacklogSlope float64 // (end-start)/Measure, packets per slot
-	MaxBacklog   int64   // peak queued packets observed
+	// MaxBacklog is the peak number of queued packets over the slots
+	// actually run (Slots), so a run that ends early after its measured
+	// work is done may report a lower peak than a full-horizon run.
+	MaxBacklog int64
 	// BacklogFirstQ and BacklogLastQ are the average backlog over the
 	// first and last quarter of the measurement window; their difference
 	// (BacklogTrend) is a noise-robust growth estimate used by Stable.
@@ -295,14 +312,20 @@ type Result struct {
 	// Status carries the same information with more detail.
 	Truncated bool
 	// ClampedLengths counts packets whose sampled service time exceeded
-	// the timing wheel and was clamped.
+	// the timing wheel and was clamped, over the slots actually run.
 	ClampedLengths int64
 
-	// Status records how the run ended: StatusOK (full horizon),
-	// StatusTruncated (Config.MaxBacklog tripped), StatusDiverged (the
-	// watchdog in Config.Guard fired), or StatusTimeout (the wall-clock
-	// bound expired). Delay statistics of non-OK runs cover only the
-	// slots actually simulated.
+	// Slots is the number of slots actually simulated: Warmup+Measure+Drain
+	// for a run that still held measured work at the horizon, fewer for a
+	// run whose measured tasks all finished early or that a guard,
+	// truncation or timeout stopped.
+	Slots int64
+
+	// Status records how the run ended: StatusOK (measured work done, or
+	// the horizon reached), StatusTruncated (Config.MaxBacklog tripped),
+	// StatusDiverged (the watchdog in Config.Guard fired), or
+	// StatusTimeout (the wall-clock bound expired). Delay statistics of
+	// non-OK runs cover only the slots actually simulated.
 	Status Status
 
 	// LostCopies counts measured broadcast deliveries lost because a copy
@@ -671,10 +694,14 @@ func (e *engine) run() error {
 }
 
 // step advances the simulation by exactly one slot and reports whether the
-// run is over (horizon reached, or an early exit recorded in Result.Status).
-// It is the unit of progress the batched runner interleaves across
-// replications; run() is just a loop over it, so sequential and batched
-// trajectories are identical by construction.
+// run is over: the horizon was reached, the measured work is done (no
+// measured broadcast task in flight and no measured unicast undelivered
+// once the window has closed), or an early exit was recorded in
+// Result.Status. It is the unit of progress the batched runner interleaves
+// across replications; run() is just a loop over it, so sequential and
+// batched trajectories are identical by construction. Reporting the end of
+// the measured work changes no state: calling step again keeps simulating
+// to the horizon along the same trajectory.
 func (e *engine) step() (done bool, err error) {
 	if e.now >= e.horizon {
 		return true, nil
@@ -704,6 +731,7 @@ func (e *engine) step() (done bool, err error) {
 	if e.probe != nil {
 		e.probe.SlotEnd(e.now, e.backlog)
 	}
+	e.res.Slots = e.now + 1
 	if e.now == e.wEnd-1 {
 		e.res.BacklogEnd = e.backlog
 	}
@@ -731,7 +759,8 @@ func (e *engine) step() (done bool, err error) {
 		return true, nil
 	}
 	e.now++
-	return e.now >= e.horizon, nil
+	return e.now >= e.horizon ||
+		e.now >= e.wEnd && e.liveTasks == 0 && e.res.IncompleteUnicasts == 0, nil
 }
 
 // diverged runs the watchdog checks for the slot that just finished. It only
